@@ -23,7 +23,7 @@ fn scenario_suite(
     service: ServiceKind,
     coding: CodingParams,
     seed: u64,
-) -> ExperimentSuite<impl Fn(&SweepPoint) -> PointStats + Sync> {
+) -> ExperimentSuite<(), impl Fn(&SweepPoint) -> PointStats + Sync> {
     let grid = SweepGrid::new().seeds([seed]);
     ExperimentSuite::new("ablation", seed, grid, move |point| {
         let mut scenario = Scenario::new(point.scenario_seed())

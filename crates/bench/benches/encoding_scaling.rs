@@ -1,6 +1,6 @@
 //! Criterion bench behind Figure 10: Reed–Solomon encoding throughput as the
-//! number of encoder threads grows.  The figure binary (`fig10_scaling`)
-//! prints the Kpps table; this bench tracks the same operation with
+//! number of encoder threads grows.  `jqos sweep --fig 10` prints the Kpps
+//! table; this bench tracks the same operation with
 //! statistical rigour so regressions in the encoder show up in CI.
 //!
 //! The thread axis is expressed as the same one-point-per-config
@@ -16,11 +16,11 @@ use netsim::stats::PointStats;
 fn engine_suite(
     threads: usize,
     packets: u64,
-) -> ExperimentSuite<impl Fn(&SweepPoint) -> PointStats + Sync> {
-    let grid = SweepGrid::new().variants(vec![(format!("threads{threads}"), threads as u64)]);
+) -> ExperimentSuite<u64, impl Fn(&SweepPoint<u64>) -> PointStats + Sync> {
+    let grid = SweepGrid::new().axis(vec![(format!("threads{threads}"), threads as u64)]);
     ExperimentSuite::new("fig10_bench", 0, grid, move |point| {
         let engine = EncodingEngine::new(EngineConfig {
-            threads: point.variant as usize,
+            threads: point.payload as usize,
             block_size: 5,
             parity: 1,
             packet_bytes: 512,

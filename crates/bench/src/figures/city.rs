@@ -100,7 +100,7 @@ fn config_for(axis: CityAxis) -> CityConfig {
 }
 
 /// Runs the city suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     let master_seed = 29;
     let seeds = sized(2, 1);
     let catalog = class_catalog();
@@ -109,12 +109,10 @@ pub fn run(threads: usize) {
 
     section("City sweep: trace-driven populations with class aggregation");
     let entries = city_entries();
-    let grid = SweepGrid::new()
-        .replicates(seeds)
-        .city_configs(entries.clone());
+    let grid = SweepGrid::new().replicates(seeds).axis(entries.clone());
 
     let suite = ExperimentSuite::new("city", master_seed, grid, move |point| {
-        let report = run_city(&config_for(point.city), point.scenario_seed());
+        let report = run_city(&config_for(point.payload), point.scenario_seed());
         let digest = report.digest();
         let mut stats = PointStats::new("")
             .metric("population", report.axis.population as f64)
@@ -138,10 +136,9 @@ pub fn run(threads: usize) {
         }
         stats
     });
-    let (out, timing) = run_suite_with_timing(&suite, threads);
+    let (out, timing) = run_suite_with_timing(&suite, threads, baseline);
 
-    // Point order: city axis outermost (one entry on every other axis),
-    // seeds innermost.
+    // Point order: city axis outermost, seeds innermost.
     let points = out.report.points();
     let metric = |i: usize, key: &str| points[i].get_metric(key).unwrap_or(0.0);
     let mut rows: Vec<CityPointRow> = Vec::new();

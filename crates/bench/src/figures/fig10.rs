@@ -27,9 +27,8 @@ struct ScalingPoint {
     speedup_vs_one_thread: f64,
 }
 
-/// Runs the Figure 10 suite.  `_threads` is accepted for interface symmetry
-/// but the sweep itself is pinned to one worker (see module docs).
-pub fn run(_threads: usize) {
+/// Runs the Figure 10 suite, always on one sweep worker (see module docs).
+pub fn run() {
     let packets_per_thread = sized(400_000, 40_000) as u64;
     let max_threads = 8usize;
 
@@ -39,13 +38,13 @@ pub fn run(_threads: usize) {
         "threads", "ingress (Kpps)", "egress (Kpps)", "speedup"
     );
 
-    let grid = SweepGrid::new().variants(
+    let grid = SweepGrid::new().axis(
         (1..=max_threads)
-            .map(|t| (format!("threads{t}"), t as u64))
+            .map(|t| (format!("threads{t}"), t))
             .collect(),
     );
     let suite = ExperimentSuite::new("fig10", 0, grid, move |point| {
-        let threads = point.variant as usize;
+        let threads = point.payload;
         let engine = EncodingEngine::new(EngineConfig {
             threads,
             block_size: 5,

@@ -22,16 +22,12 @@ use measurements::ripe::ripe_atlas_paths;
 use netsim::stats::PointStats;
 
 /// Runs the Figure 7 suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     let chunks = sized(32, 8);
     let chunk_size = sized(6250, 512).div_ceil(chunks);
     let seed = 42;
 
-    let grid = SweepGrid::new().variants(
-        (0..chunks)
-            .map(|c| (format!("chunk{c}"), c as u64))
-            .collect(),
-    );
+    let grid = SweepGrid::new().axis((0..chunks).map(|c| (format!("chunk{c}"), c)).collect());
     let sim_packets = sized(400, 150) as u64;
     let sim_secs = sized(10, 4) as u64;
     let suite = ExperimentSuite::new("fig7", seed, grid, move |point| {
@@ -81,7 +77,7 @@ pub fn run(threads: usize) {
             .series("sim_caching_frac", flow.recovery_delay_rtt_fractions());
         stats
     });
-    let out = run_suite(&suite, threads);
+    let out = run_suite(&suite, threads, baseline);
 
     section("Figure 7(a): end-to-end delivery latency (ms)");
     let fig7a = vec![

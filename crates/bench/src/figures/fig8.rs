@@ -109,7 +109,7 @@ fn run_path(path: &PlanetLabPath, cross_parity: usize, duration: Dur, seed: u64)
 }
 
 /// Runs the Figure 8 suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     let paths = planetlab_paths(2020);
     let n_paths = sized(paths.len(), 8);
     let paths: Vec<PlanetLabPath> = paths.into_iter().take(n_paths).collect();
@@ -120,14 +120,14 @@ pub fn run(threads: usize) {
     // the straggler-protection ablation (2 vs 1 coded packets per batch).
     let grid = SweepGrid::new()
         .seeds(paths.iter().map(|p| p.index as u64))
-        .variants(vec![("cross2".to_string(), 2), ("cross1".to_string(), 1)]);
+        .axis(vec![("cross2", 2usize), ("cross1", 1)]);
     let runner_paths = paths.clone();
     let suite = ExperimentSuite::new("fig8", seed, grid, move |point| {
         let path = &runner_paths[point.seed_idx];
         // paired_seed, not scenario_seed: the cross2 and cross1 variants of
         // the same path must replay the identical loss realisation so 8(e)
         // measures the straggler-protection effect, not seed noise.
-        let report = run_path(path, point.variant as usize, duration, point.paired_seed());
+        let report = run_path(path, point.payload, duration, point.paired_seed());
 
         // Direct-path delivery flags for the what-if FEC replay.
         let direct_flags: Vec<bool> = report
@@ -163,7 +163,7 @@ pub fn run(threads: usize) {
                 report.recovery_delay_rtt_fractions(),
             )
     });
-    let out = run_suite(&suite, threads);
+    let out = run_suite(&suite, threads, baseline);
 
     // Re-assemble the per-path rows from the grid: variant `cross2` occupies
     // points `0..n`, `cross1` points `n..2n`, both in path order.

@@ -92,15 +92,6 @@ fn run_call(
 
     let report = scenario.run(duration + Dur::from_secs(2));
     let flow = &report.flows[0];
-    if std::env::var("JQOS_DEBUG").is_ok() {
-        eprintln!(
-            "[debug {label}] dc2={:?} lost_direct={} recovered={} nacks={}",
-            report.dc2,
-            flow.lost_on_direct(),
-            flow.recovered(),
-            flow.nacks_sent
-        );
-    }
 
     // Frame outcomes: a packet counts if it arrived within an interactive
     // playout budget (400 ms one-way).
@@ -130,24 +121,18 @@ fn run_call(
 }
 
 /// Runs the Figure 9(a) suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     let call_secs = sized(180, 70) as u64;
     let seed = 31;
 
-    let grid = SweepGrid::new().variants(
-        CONFIGS
-            .iter()
-            .enumerate()
-            .map(|(i, (label, _, _))| (label.to_string(), i as u64))
-            .collect(),
-    );
+    let grid = SweepGrid::new().axis(CONFIGS.iter().map(|c| (c.0, *c)).collect());
     let suite = ExperimentSuite::new("fig9a", seed, grid, move |point| {
-        let (label, service, mobile) = CONFIGS[point.variant_idx];
+        let (label, service, mobile) = point.payload;
         // paired_seed: every configuration replays the same outage and loss
         // realisation, as in the paper's side-by-side comparison.
         run_call(label, service, mobile, call_secs, point.paired_seed())
     });
-    let out = run_suite(&suite, threads);
+    let out = run_suite(&suite, threads, baseline);
 
     section("Figure 9(a): per-frame PSNR during a call with a 30 s outage");
     let series: Vec<Series> = out

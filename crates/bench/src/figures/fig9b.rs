@@ -108,40 +108,38 @@ fn count_detector_timeouts(config: DetectorConfig) -> u64 {
 }
 
 /// Runs the Figure 9(b) suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     let transfers = sized(10_000, 300);
     let seed = 99;
 
     section("Figure 9(b): flow completion times (seconds)");
     let assist_delay = Dur::from_millis(60);
-    let labels = ["Internet", "CR-WAN (full dup)", "Selective (SYN-ACK)"];
-    let grid = SweepGrid::new().variants(
-        labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.to_string(), i as u64))
-            .collect(),
-    );
+    let grid = SweepGrid::new().axis(vec![
+        ("Internet", JqosAssist::None),
+        (
+            "CR-WAN (full dup)",
+            JqosAssist::FullDuplication {
+                extra_delay: assist_delay,
+            },
+        ),
+        (
+            "Selective (SYN-ACK)",
+            JqosAssist::SelectiveSynAck {
+                extra_delay: assist_delay,
+            },
+        ),
+    ]);
     let suite = ExperimentSuite::new("fig9b", seed, grid, move |point| {
-        let assist = match point.variant_idx {
-            0 => JqosAssist::None,
-            1 => JqosAssist::FullDuplication {
-                extra_delay: assist_delay,
-            },
-            _ => JqosAssist::SelectiveSynAck {
-                extra_delay: assist_delay,
-            },
-        };
         // paired_seed: all three assist modes see the identical transfer
         // and loss realisation, so the tail reduction is a paired delta.
         run_mode(
-            labels[point.variant_idx],
-            assist,
+            &point.payload_label,
+            point.payload,
             transfers,
             point.paired_seed(),
         )
     });
-    let out = run_suite(&suite, threads);
+    let out = run_suite(&suite, threads, baseline);
 
     let points = out.report.points();
     let base_tail = points[0].get_metric("p99_s").unwrap_or(0.0);

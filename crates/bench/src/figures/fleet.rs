@@ -113,7 +113,7 @@ fn fleet_entries(failure_at: Time) -> Vec<(String, FleetAxis)> {
 }
 
 /// Runs the fleet suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     let master_seed = 23;
     let seeds = sized(3, 2);
     let n_flows = 6;
@@ -125,13 +125,13 @@ pub fn run(threads: usize) {
     let entries = fleet_entries(failure_at);
     let grid = SweepGrid::new()
         .replicates(seeds)
-        .loss_models(vec![("p2", LossSpec::Bernoulli(0.02))])
-        .fleet_configs(entries.clone());
+        .axis(cross(&entries, &[("p2", LossSpec::Bernoulli(0.02))]));
 
     let suite = ExperimentSuite::new("fleet", master_seed, grid, move |point| {
+        let (fleet, loss) = &point.payload;
         let mut scenario = FleetScenario::new(point.scenario_seed())
-            .with_axis(&point.fleet)
-            .with_internet(LinkSpec::symmetric(Dur::from_millis(75)).loss(point.loss.clone()));
+            .with_axis(fleet)
+            .with_internet(LinkSpec::symmetric(Dur::from_millis(75)).loss(loss.clone()));
         for i in 0..n_flows {
             let (service, budget_ms) = FLOW_MIX[i % FLOW_MIX.len()];
             scenario = scenario.add_flow(
@@ -182,9 +182,9 @@ pub fn run(threads: usize) {
                     .collect(),
             )
     });
-    let (out, timing) = run_suite_with_timing(&suite, threads);
+    let (out, timing) = run_suite_with_timing(&suite, threads, baseline);
 
-    // Point order: fleet axis outermost (one variant entry), seeds innermost.
+    // Point order: fleet axis outermost (one loss entry), seeds innermost.
     let points = out.report.points();
     let metric = |i: usize, key: &str| points[i].get_metric(key).unwrap_or(0.0);
     let mut rows: Vec<FleetPointRow> = Vec::new();

@@ -1,7 +1,6 @@
 //! The figure suites of the evaluation, each expressed as an
-//! [`jqos_core::ExperimentSuite`] grid and runnable from either its
-//! dedicated binary (`cargo run -p jqos-bench --bin fig7_feasibility`) or the
-//! umbrella CLI (`jqos sweep --fig 7`).
+//! [`jqos_core::ExperimentSuite`] grid and run through the umbrella CLI
+//! (`jqos sweep --fig 7`).
 //!
 //! | id          | suite                                           |
 //! |-------------|--------------------------------------------------|
@@ -14,6 +13,7 @@
 //! | `66`        | [`sec66`] — deployment cost + coding overhead    |
 //! | `fleet`     | [`fleet`] — DC-fleet failover control plane      |
 //! | `city`      | [`city`] — city-scale populations by flow class  |
+//! | `stress`    | [`stress`] — netsim scheduler stress             |
 
 pub mod city;
 pub mod fig10;
@@ -24,27 +24,33 @@ pub mod fig9b;
 pub mod fleet;
 pub mod sec65;
 pub mod sec66;
+pub mod stress;
 
 /// The figure ids `run_figure` accepts.
-pub const FIGURE_IDS: [&str; 9] = ["7", "8", "9a", "9b", "10", "65", "66", "fleet", "city"];
+pub const FIGURE_IDS: [&str; 10] = [
+    "7", "8", "9a", "9b", "10", "65", "66", "fleet", "city", "stress",
+];
 
-/// Runs the suite behind one figure id on `threads` sweep workers.  Returns
-/// `false` for an unknown id.
-pub fn run_figure(fig: &str, threads: usize) -> bool {
+/// Runs the suite behind one figure id on `threads` sweep workers, replaying
+/// it on one thread to prove determinism when `baseline` is set (figures 10
+/// and `stress` time whole runs and take neither).  Returns `false` for an
+/// unknown id.
+pub fn run_figure(fig: &str, threads: usize, baseline: bool) -> bool {
     match fig
         .trim()
         .trim_start_matches("fig")
         .trim_start_matches("sec")
     {
-        "7" => fig7::run(threads),
-        "8" => fig8::run(threads),
-        "9a" => fig9a::run(threads),
-        "9b" => fig9b::run(threads),
-        "10" => fig10::run(threads),
-        "65" | "6.5" => sec65::run(threads),
-        "66" | "6.6" => sec66::run(threads),
-        "fleet" => fleet::run(threads),
-        "city" => city::run(threads),
+        "7" => fig7::run(threads, baseline),
+        "8" => fig8::run(threads, baseline),
+        "9a" => fig9a::run(threads, baseline),
+        "9b" => fig9b::run(threads, baseline),
+        "10" => fig10::run(),
+        "65" | "6.5" => sec65::run(threads, baseline),
+        "66" | "6.6" => sec66::run(threads, baseline),
+        "fleet" => fleet::run(threads, baseline),
+        "city" => city::run(threads, baseline),
+        "stress" => stress::run(),
         _ => return false,
     }
     true

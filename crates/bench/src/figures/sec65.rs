@@ -31,16 +31,8 @@ struct MobileReport {
     recovery_p95_ms: f64,
 }
 
-fn profile_for(variant: u64) -> MobileProfile {
-    if variant == 0 {
-        MobileProfile::lte_typical()
-    } else {
-        MobileProfile::lte_constrained()
-    }
-}
-
 /// Runs the §6.5 suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     section("§6.5: duplication bandwidth feasibility");
     let profiles = [
         ("typical LTE (5 Mbps up)", MobileProfile::lte_typical()),
@@ -74,13 +66,12 @@ pub fn run(threads: usize) {
     let call_secs = sized(120, 50) as u64;
     let duration = Dur::from_secs(call_secs);
 
-    let grid = SweepGrid::new().variants(vec![
-        ("lte_typical".to_string(), 0u64),
-        ("lte_constrained".to_string(), 1u64),
+    let grid = SweepGrid::new().axis(vec![
+        ("lte_typical", MobileProfile::lte_typical()),
+        ("lte_constrained", MobileProfile::lte_constrained()),
     ]);
     let suite = ExperimentSuite::new("sec65", 65, grid, move |point| {
-        let profile = profile_for(point.variant);
-        let topology = profile.topology(LossSpec::Compound(vec![
+        let topology = point.payload.topology(LossSpec::Compound(vec![
             LossSpec::bursty(0.01, 4.0),
             LossSpec::Outage(vec![(
                 Time::from_secs(call_secs / 2),
@@ -110,7 +101,7 @@ pub fn run(threads: usize) {
             .metric("recovery_rate", flow.recovery_rate())
             .metric("recovery_p95_ms", delays.quantile(0.95).unwrap_or(0.0))
     });
-    let out = run_suite(&suite, threads);
+    let out = run_suite(&suite, threads, baseline);
 
     for (i, (label, _)) in profiles.iter().enumerate() {
         let p = &out.report.points()[i];

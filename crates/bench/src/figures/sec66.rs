@@ -33,7 +33,7 @@ struct OverheadResult {
 }
 
 /// Runs the §6.6 suite on `threads` sweep workers.
-pub fn run(threads: usize) {
+pub fn run(threads: usize, baseline: bool) {
     section("§6.6: hourly cost of serving 150 concurrent Skype calls");
     let model = CostModel::default();
     let workload = WorkloadProfile::skype_calls(150);
@@ -104,7 +104,7 @@ pub fn run(threads: usize) {
             .metric("recovered", recovered as f64)
             .metric("coded_byte_overhead", report.coding_overhead())
     });
-    let out = run_suite(&suite, threads);
+    let out = run_suite(&suite, threads, baseline);
 
     let lost: f64 = out.report.metric_series("lost").iter().sum();
     let recovered: f64 = out.report.metric_series("recovered").iter().sum();

@@ -1,4 +1,4 @@
-//! Shared utilities for the figure-regeneration binaries.
+//! Shared utilities for the figure suites.
 
 use std::fs;
 use std::path::PathBuf;
@@ -183,39 +183,39 @@ pub fn write_sweep_timing(timing: &SweepTiming) {
 /// Executes a suite on `threads` workers, prints its per-point / aggregate
 /// wall-clock summary and records `BENCH_sweep_<suite>.json`.
 ///
-/// When more than one worker is used and either quick mode or
-/// `JQOS_SWEEP_BASELINE` is set, the sweep is replayed on a single thread and
-/// the two reports are asserted byte-identical — the deterministic-replay
-/// guarantee — with the measured speedup printed alongside.
-pub fn run_suite<R>(suite: &ExperimentSuite<R>, threads: usize) -> SuiteReport
+/// With `baseline` set and more than one worker in use, the sweep is
+/// replayed on a single thread and the two reports are asserted
+/// byte-identical — the deterministic-replay guarantee — with the measured
+/// speedup printed alongside.
+pub fn run_suite<P, R>(suite: &ExperimentSuite<P, R>, threads: usize, baseline: bool) -> SuiteReport
 where
-    R: Fn(&SweepPoint) -> PointStats + Sync,
+    P: Clone + Sync,
+    R: Fn(&SweepPoint<P>) -> PointStats + Sync,
 {
-    run_suite_with_timing(suite, threads).0
+    run_suite_with_timing(suite, threads, baseline).0
 }
 
 /// [`run_suite`], also returning the timing summary it recorded — for suites
 /// that embed the timing (baseline-replay fields included) in a larger
 /// aggregate document instead of keeping the bare timing file.
-pub fn run_suite_with_timing<R>(
-    suite: &ExperimentSuite<R>,
+pub fn run_suite_with_timing<P, R>(
+    suite: &ExperimentSuite<P, R>,
     threads: usize,
+    baseline: bool,
 ) -> (SuiteReport, SweepTiming)
 where
-    R: Fn(&SweepPoint) -> PointStats + Sync,
+    P: Clone + Sync,
+    R: Fn(&SweepPoint<P>) -> PointStats + Sync,
 {
     let out = suite.run(threads);
     out.print_timing_summary();
+    println!(
+        "  [sweep {}] report digest (FNV-1a) {:#018x}",
+        suite.name(),
+        out.fingerprint()
+    );
     let mut timing = sweep_timing(&out);
-    // JQOS_SWEEP_BASELINE is authoritative when set ("0"/"false" disables,
-    // anything else enables); unset falls back to quick mode, where the
-    // replay is cheap enough to run on every sweep.
-    let verify = out.threads > 1
-        && match std::env::var("JQOS_SWEEP_BASELINE") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | ""),
-            Err(_) => quick_mode(),
-        };
-    if verify {
+    if baseline && out.threads > 1 {
         let baseline = suite.run(1);
         let speedup = baseline.total_wall_ms / out.total_wall_ms.max(1e-9);
         let identical = baseline.digest() == out.digest();

@@ -312,11 +312,6 @@ struct WorkerOutcome {
 }
 
 /// Runs the full sweep and writes `BENCH_net_loadgen.json`.
-pub fn run() -> NetloadReport {
-    run_with(NetloadConfig::from_env())
-}
-
-/// Runs the sweep with an explicit configuration.
 pub fn run_with(cfg: NetloadConfig) -> NetloadReport {
     section("net_loadgen: sharded relay under multi-flow loopback load");
     println!(

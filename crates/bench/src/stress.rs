@@ -25,8 +25,6 @@ use netsim::prelude::*;
 use netsim::rng::group_seed;
 use netsim::sim::SimStats;
 
-use crate::seedsim::{SeedContext, SeedNode, SeedSimulator};
-
 /// Parameters of the stress scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct StressConfig {
@@ -105,35 +103,12 @@ struct Hub {
     pings: u64,
 }
 
-impl Hub {
-    /// The hub's whole protocol: count each ping and answer it.  Shared by
-    /// the production and seed engine bindings so both run byte-identical
-    /// logic.
-    fn reply(&mut self, msg: Msg) -> Option<Msg> {
+impl Node<Msg> for Hub {
+    /// The hub's whole protocol: count each ping and answer it.
+    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
         if let Msg::Nack { flow, seq, .. } = msg {
             self.pings += 1;
-            Some(Msg::NackCheck { flow, seq })
-        } else {
-            None
-        }
-    }
-}
-
-impl Node<Msg> for Hub {
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
-        if let Some(reply) = self.reply(msg) {
-            ctx.send(from, reply);
-        }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl SeedNode for Hub {
-    fn on_message(&mut self, ctx: &mut SeedContext<'_>, from: NodeId, msg: Msg) {
-        if let Some(reply) = self.reply(msg) {
-            ctx.send(from, reply);
+            ctx.send(from, Msg::NackCheck { flow, seq });
         }
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -151,73 +126,31 @@ struct StressClient {
     burst: usize,
 }
 
-impl StressClient {
-    /// Stagger first ticks across 10 ms so bursts do not all land on the
-    /// same timestamp (they would still be ordered deterministically, but
-    /// spreading them exercises the calendar buckets realistically).
-    fn start_delay(&self) -> Dur {
-        Dur::from_millis(1 + self.flow.0 as u64 % 10)
+impl Node<Msg> for StressClient {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        // Stagger first ticks across 10 ms so bursts do not all land on the
+        // same timestamp (they would still be ordered deterministically, but
+        // spreading them exercises the calendar buckets realistically).
+        ctx.set_timer(Dur::from_millis(1 + self.flow.0 as u64 % 10), 0);
     }
-    /// Pings to emit this tick, or `None` once traffic generation is over
-    /// (no reschedule, so the queue drains completely).
-    fn tick_burst(&self, now: Time) -> Option<usize> {
-        if now >= self.end {
-            None
-        } else {
-            Some(self.burst)
-        }
-    }
-    fn next_ping(&mut self) -> Msg {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Msg::Nack {
-            flow: self.flow,
-            seq,
-            reason: NackReason::ShortTimeout,
-        }
-    }
-    fn on_pong(&mut self, msg: &Msg) {
+    fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
         if matches!(msg, Msg::NackCheck { .. }) {
             self.pongs += 1;
         }
     }
-}
-
-impl Node<Msg> for StressClient {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.set_timer(self.start_delay(), 0);
-    }
-    fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-        self.on_pong(&msg);
-    }
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _timer: TimerId, _tag: u64) {
-        let Some(burst) = self.tick_burst(ctx.now()) else {
+        // Once traffic generation is over nothing is rescheduled, so the
+        // queue drains completely.
+        if ctx.now() >= self.end {
             return;
-        };
-        for _ in 0..burst {
-            let ping = self.next_ping();
-            ctx.send(self.hub, ping);
         }
-        ctx.set_timer(self.tick, 0);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl SeedNode for StressClient {
-    fn on_start(&mut self, ctx: &mut SeedContext<'_>) {
-        ctx.set_timer(self.start_delay(), 0);
-    }
-    fn on_message(&mut self, _ctx: &mut SeedContext<'_>, _from: NodeId, msg: Msg) {
-        self.on_pong(&msg);
-    }
-    fn on_timer(&mut self, ctx: &mut SeedContext<'_>, _timer: TimerId, _tag: u64) {
-        let Some(burst) = self.tick_burst(ctx.now()) else {
-            return;
-        };
-        for _ in 0..burst {
-            let ping = self.next_ping();
+        for _ in 0..self.burst {
+            let ping = Msg::Nack {
+                flow: self.flow,
+                seq: self.next_seq,
+                reason: NackReason::ShortTimeout,
+            };
+            self.next_seq += 1;
             ctx.send(self.hub, ping);
         }
         ctx.set_timer(self.tick, 0);
@@ -285,26 +218,6 @@ fn client_link(c: usize) -> LinkSpec {
         .loss(LossSpec::Bernoulli(client_loss_permille(c) as f64 / 1000.0))
 }
 
-/// Folds engine counters and per-node final state into the group digest.
-fn group_digest<'a>(
-    stats: &SimStats,
-    hub_pings: u64,
-    clients: impl Iterator<Item = (&'a u64, &'a u64)>,
-) -> u64 {
-    let mut digest = FNV_OFFSET;
-    fnv_mix(&mut digest, stats.messages_sent);
-    fnv_mix(&mut digest, stats.messages_delivered);
-    fnv_mix(&mut digest, stats.messages_dropped_loss);
-    fnv_mix(&mut digest, stats.timers_fired);
-    fnv_mix(&mut digest, stats.events_processed);
-    fnv_mix(&mut digest, hub_pings);
-    for (next_seq, pongs) in clients {
-        fnv_mix(&mut digest, *next_seq);
-        fnv_mix(&mut digest, *pongs);
-    }
-    digest
-}
-
 /// Runs one link group's sub-simulation to completion and digests it.
 pub fn run_group(cfg: &StressConfig, master_seed: u64, group: usize) -> GroupResult {
     let seed = group_seed(master_seed, group as u64);
@@ -323,46 +236,24 @@ pub fn run_group(cfg: &StressConfig, master_seed: u64, group: usize) -> GroupRes
     sim.run_until(end + Dur::from_secs(1));
     assert_eq!(sim.pending_events(), 0, "stress queue must drain");
 
+    // The digest folds the engine counters and every node's final state.
     let stats = sim.stats();
-    let hub_pings = sim.node_as::<Hub>(hub).pings;
-    let states: Vec<(u64, u64)> = clients
-        .iter()
-        .map(|&id| {
-            let c = sim.node_as::<StressClient>(id);
-            (c.next_seq, c.pongs)
-        })
-        .collect();
-    let digest = group_digest(&stats, hub_pings, states.iter().map(|(a, b)| (a, b)));
-    GroupResult { stats, digest }
-}
-
-/// [`run_group`] on the vendored seed engine ([`crate::seedsim`]): identical
-/// topology, RNG streams and event order, so it must produce the identical
-/// [`GroupResult`] — the benchmark asserts exactly that before timing.
-pub fn run_group_on_seed_engine(cfg: &StressConfig, master_seed: u64, group: usize) -> GroupResult {
-    let seed = group_seed(master_seed, group as u64);
-    let mut sim = SeedSimulator::new(seed);
-    let hub = sim.add_node(Hub { pings: 0 });
-    let end = Time::ZERO + cfg.duration;
-    let mut clients = Vec::with_capacity(cfg.clients_per_group);
-    for c in 0..cfg.clients_per_group {
-        let client = sim.add_node(client_node(cfg, hub, c));
-        sim.add_link(client, hub, client_link(c));
-        clients.push(client);
+    let mut digest = FNV_OFFSET;
+    for counter in [
+        stats.messages_sent,
+        stats.messages_delivered,
+        stats.messages_dropped_loss,
+        stats.timers_fired,
+        stats.events_processed,
+        sim.node_as::<Hub>(hub).pings,
+    ] {
+        fnv_mix(&mut digest, counter);
     }
-    sim.run_until(end + Dur::from_secs(1));
-    assert_eq!(sim.pending_events(), 0, "stress queue must drain");
-
-    let stats = sim.stats();
-    let hub_pings = sim.node_as::<Hub>(hub).pings;
-    let states: Vec<(u64, u64)> = clients
-        .iter()
-        .map(|&id| {
-            let c = sim.node_as::<StressClient>(id);
-            (c.next_seq, c.pongs)
-        })
-        .collect();
-    let digest = group_digest(&stats, hub_pings, states.iter().map(|(a, b)| (a, b)));
+    for &id in &clients {
+        let client = sim.node_as::<StressClient>(id);
+        fnv_mix(&mut digest, client.next_seq);
+        fnv_mix(&mut digest, client.pongs);
+    }
     GroupResult { stats, digest }
 }
 
@@ -375,35 +266,6 @@ pub fn run_stress(cfg: &StressConfig, master_seed: u64, intra_threads: usize) ->
     let groups = run_link_groups(cfg.groups, intra_threads, |g| {
         run_group(cfg, master_seed, g)
     });
-    let mut digest = FNV_OFFSET;
-    let mut report = StressReport {
-        events_processed: 0,
-        messages_sent: 0,
-        messages_delivered: 0,
-        messages_dropped_loss: 0,
-        timers_fired: 0,
-        digest: 0,
-        groups,
-    };
-    for g in &report.groups {
-        report.events_processed += g.stats.events_processed;
-        report.messages_sent += g.stats.messages_sent;
-        report.messages_delivered += g.stats.messages_delivered;
-        report.messages_dropped_loss += g.stats.messages_dropped_loss;
-        report.timers_fired += g.stats.timers_fired;
-        fnv_mix(&mut digest, g.digest);
-    }
-    report.digest = digest;
-    report
-}
-
-/// [`run_stress`] on the vendored seed engine — always serial (the seed had
-/// no intra-point parallelism).  Produces the same [`StressReport`] as the
-/// production engine for the same master seed.
-pub fn run_stress_on_seed_engine(cfg: &StressConfig, master_seed: u64) -> StressReport {
-    let groups: Vec<GroupResult> = (0..cfg.groups)
-        .map(|g| run_group_on_seed_engine(cfg, master_seed, g))
-        .collect();
     let mut digest = FNV_OFFSET;
     let mut report = StressReport {
         events_processed: 0,
@@ -452,17 +314,6 @@ mod tests {
             serial,
             run_stress(&cal, 7, 3),
             "intra threads must not matter"
-        );
-    }
-
-    #[test]
-    fn seed_engine_replays_identically() {
-        let cfg = StressConfig::quick();
-        let production = run_stress(&cfg, 42, 1);
-        let seed = run_stress_on_seed_engine(&cfg, 42);
-        assert_eq!(
-            production, seed,
-            "seed engine must be event-for-event identical"
         );
     }
 }

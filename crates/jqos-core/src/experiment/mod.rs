@@ -12,21 +12,21 @@
 //! ([`sweep::SweepGrid`]) executed in parallel by [`sweep::ExperimentSuite`].
 
 pub mod city;
+pub(crate) mod deploy;
 pub mod sweep;
-
-use std::collections::BTreeMap;
 
 use netsim::prelude::*;
 use netsim::trace::EpisodeBreakdown;
 
+use self::deploy::Deployment;
 use crate::coding::params::CodingParams;
 use crate::nodes::dc1::Dc1Node;
 use crate::nodes::dc2::{Dc2Config, Dc2Node};
-use crate::nodes::receiver::{DeliveryMethod, ReceiverConfig, ReceiverNode};
+use crate::nodes::receiver::{DeliveryMethod, ReceiverNode};
 use crate::nodes::sender::SenderNode;
 use crate::nodes::source::TrafficSource;
-use crate::nodes::{FlowSpec, PathPolicy};
-use crate::packet::{FlowId, Msg, SeqNo};
+use crate::nodes::PathPolicy;
+use crate::packet::{FlowId, SeqNo};
 use crate::select::ServiceKind;
 
 /// Description of one flow in a scenario.
@@ -130,160 +130,67 @@ impl Scenario {
         // figure scenarios.
         let nodes_hint = 2 + 2 * self.flows.len();
         let events_hint = (64 * self.flows.len()).clamp(256, 8_192);
-        let mut sim: Simulator<Msg> =
+        let sim =
             Simulator::with_capacity_and_queue(self.seed, self.queue, nodes_hint, events_hint);
         let topo = &self.topology;
-
-        // The DC nodes are added first so their ids are known when flows are
-        // registered; blank instances go in now and are replaced with the
-        // fully registered ones just before the run.
-        let mut dc1_node = Dc1Node::new(self.coding);
-        let mut dc2_node = Dc2Node::new(self.dc2_config);
-        let dc1_real = sim.add_node(Dc1Node::new(self.coding));
-        let dc2_real = sim.add_node(Dc2Node::new(self.dc2_config));
         let rtt = topo.rtt();
+        let mut world = Deployment::new(sim, self.coding, self.dc2_config, 1, rtt);
 
-        struct FlowWiring {
-            flow: FlowId,
-            service: ServiceKind,
-            sender: NodeId,
-            receiver: NodeId,
-            internet: LinkSpec,
-        }
-        let mut wirings = Vec::new();
-
-        for (idx, plan) in self.flows.into_iter().enumerate() {
-            let flow = FlowId(idx as u32);
-            let mut receiver_node = ReceiverNode::new(ReceiverConfig::prototype(rtt));
-            receiver_node.register_flow(flow, plan.service, dc2_real);
-            let receiver = sim.add_node(receiver_node);
-
-            let mut spec = FlowSpec::new(flow, plan.service, receiver, dc1_real, dc2_real);
-            if let Some(policy) = plan.policy {
-                spec.paths = policy;
-            }
-            let sender = sim.add_node(SenderNode::new(spec, plan.source));
-
-            dc1_node.register_flow(flow, plan.service, dc2_real, receiver);
-            dc2_node.register_flow(flow, plan.service, receiver);
-
-            wirings.push(FlowWiring {
-                flow,
-                service: plan.service,
-                sender,
-                receiver,
-                internet: plan.internet,
-            });
-        }
-
-        // Replace the blank DC nodes with the fully registered ones.
-        *sim.node_as::<Dc1Node>(dc1_real) = dc1_node;
-        *sim.node_as::<Dc2Node>(dc2_real) = dc2_node;
-
-        // Links: per-flow direct Internet path and sender access path; shared
-        // inter-DC path and per-receiver access path.
-        sim.add_link(dc1_real, dc2_real, topo.dc1_dc2.clone());
-        for w in &wirings {
-            sim.add_link(w.sender, w.receiver, w.internet.clone());
-            sim.add_link(w.sender, dc1_real, topo.sender_dc1.clone());
-            sim.add_link(w.receiver, dc2_real, topo.receiver_dc2.clone());
+        // Links: the shared inter-DC path, then per flow the direct Internet
+        // path, the sender access path and the receiver access path.
+        world
+            .sim
+            .add_link(world.dc1, world.dc2s[0], topo.dc1_dc2.clone());
+        for plan in self.flows {
+            let w = world.add_flow(plan.service, Some(0), plan.source, plan.policy);
+            world.link_sender(w, plan.internet, topo.sender_dc1.clone());
+            world.link_receiver(w, std::slice::from_ref(&topo.receiver_dc2));
         }
 
         // Run the workload and give in-flight recoveries time to finish.
-        sim.run_for(duration);
-        sim.run_for(rtt * 4 + Dur::from_millis(500));
+        world.sim.run_for(duration);
+        world.sim.run_for(rtt * 4 + Dur::from_millis(500));
 
-        // Collect per-flow reports.  The delivery list is folded into a map
-        // once per flow (first record per sequence wins, matching the
-        // receiver's first-arrival semantics) so the per-packet lookups below
-        // are O(log n) instead of a linear scan per sent packet.
-        let mut flows = Vec::new();
-        let mut delivery_map: BTreeMap<SeqNo, crate::nodes::receiver::DeliveryRecord> =
-            BTreeMap::new();
-        for w in &wirings {
-            let (sent_log, sender_stats) = {
-                let s = sim.node_as::<SenderNode>(w.sender);
-                (s.sent_log().to_vec(), s.stats())
-            };
-            let (deliveries, recovery_delays, recv_stats) = {
-                let r = sim.node_as::<ReceiverNode>(w.receiver);
-                (
-                    r.deliveries(w.flow),
-                    r.recovery_delays(w.flow),
-                    r.flow_stats(w.flow).unwrap_or_default(),
-                )
-            };
-
-            delivery_map.clear();
-            for (seq, record) in &deliveries {
-                delivery_map.entry(*seq).or_insert(*record);
-            }
-            let mut packets = Vec::with_capacity(sent_log.len());
-            for (seq, sent_at, size) in &sent_log {
-                let delivery = delivery_map.get(seq).copied();
-                packets.push(PacketOutcome {
-                    seq: *seq,
-                    sent_at: *sent_at,
-                    size: *size,
-                    delivered_at: delivery.map(|d| d.delivered_at),
-                    method: delivery.map(|d| d.method),
-                });
-            }
-
+        let mut flows = Vec::with_capacity(world.flows.len());
+        for i in 0..world.flows.len() {
+            let w = world.flows[i];
+            let packets = world.packet_outcomes(w);
+            let sender_stats = world.sim.node_as::<SenderNode>(w.sender).stats();
+            let receiver = world.sim.node_as::<ReceiverNode>(w.receiver);
+            // Loss episodes are classified on the *direct* path, so a
+            // recovered packet still counts as lost here.
+            let episodes = netsim::trace::episodes(
+                packets
+                    .iter()
+                    .map(|p| (p.seq, p.method == Some(DeliveryMethod::Direct))),
+            );
             flows.push(FlowReport {
                 flow: w.flow,
                 service: w.service,
                 rtt,
-                packets,
-                recovery_delays_ms: recovery_delays
+                recovery_delays_ms: receiver
+                    .recovery_delays(w.flow)
                     .iter()
                     .map(|(_, d)| d.as_millis_f64())
                     .collect(),
-                nacks_sent: recv_stats.nacks_sent,
+                nacks_sent: receiver.flow_stats(w.flow).unwrap_or_default().nacks_sent,
                 cloud_copies: sender_stats.cloud_copies,
                 payload_bytes: sender_stats.payload_bytes,
                 cloud_bytes: sender_stats.cloud_bytes,
-                episode_breakdown: direct_path_breakdown(&packets_direct_view(
-                    &sent_log,
-                    &delivery_map,
-                )),
+                episode_breakdown: EpisodeBreakdown::from_episodes(&episodes),
+                packets,
             });
         }
 
-        let dc1_stats = sim.node_as::<Dc1Node>(dc1_real).stats();
-        let encoder_stats = sim.node_as::<Dc1Node>(dc1_real).encoder_stats();
-        let dc2_stats = sim.node_as::<Dc2Node>(dc2_real).stats();
-
+        let dc1 = world.sim.node_as::<Dc1Node>(world.dc1);
+        let (dc1_stats, encoder_stats) = (dc1.stats(), dc1.encoder_stats());
         ScenarioReport {
             flows,
             dc1: dc1_stats,
-            dc2: dc2_stats,
             encoder: encoder_stats,
+            dc2: world.sim.node_as::<Dc2Node>(world.dc2s[0]).stats(),
         }
     }
-}
-
-/// Builds the direct-path delivery view (seq → arrived on the *direct* path)
-/// used for loss-episode classification, so that recovered packets still
-/// count as direct-path losses.
-fn packets_direct_view(
-    sent_log: &[(SeqNo, Time, usize)],
-    deliveries: &BTreeMap<SeqNo, crate::nodes::receiver::DeliveryRecord>,
-) -> Vec<(u64, bool)> {
-    sent_log
-        .iter()
-        .map(|(seq, _, _)| {
-            let direct = deliveries
-                .get(seq)
-                .map(|d| d.method == DeliveryMethod::Direct)
-                .unwrap_or(false);
-            (*seq, direct)
-        })
-        .collect()
-}
-
-fn direct_path_breakdown(view: &[(u64, bool)]) -> EpisodeBreakdown {
-    EpisodeBreakdown::from_episodes(&netsim::trace::episodes(view.iter().copied()))
 }
 
 /// Outcome of one application packet.
@@ -305,6 +212,12 @@ impl PacketOutcome {
     /// One-way latency, if delivered.
     pub fn latency(&self) -> Option<Dur> {
         self.delivered_at.map(|d| d.saturating_since(self.sent_at))
+    }
+
+    /// Whether the packet arrived through a J-QoS recovery (cache pull or
+    /// cooperative recovery).
+    pub fn is_recovered(&self) -> bool {
+        self.method.is_some_and(|m| m.is_recovery())
     }
 
     /// Whether the packet was delivered within `budget` of being sent.
@@ -339,46 +252,56 @@ pub struct FlowReport {
     pub episode_breakdown: EpisodeBreakdown,
 }
 
+/// Stamps the packet-counting helpers shared by every per-flow report — any
+/// type with a `packets: Vec<PacketOutcome>` field — so they are written
+/// once.
+macro_rules! impl_packet_counts {
+    ($report:ty) => {
+        impl $report {
+            /// Packets sent.
+            pub fn sent(&self) -> usize {
+                self.packets.len()
+            }
+
+            /// Packets delivered by any path.
+            pub fn delivered(&self) -> usize {
+                self.packets
+                    .iter()
+                    .filter(|p| p.delivered_at.is_some())
+                    .count()
+            }
+
+            /// Packets never delivered.
+            pub fn unrecovered(&self) -> usize {
+                self.sent() - self.delivered()
+            }
+
+            /// Packets that arrived on the direct Internet path.
+            pub fn delivered_direct(&self) -> usize {
+                self.packets
+                    .iter()
+                    .filter(|p| p.method == Some($crate::nodes::receiver::DeliveryMethod::Direct))
+                    .count()
+            }
+
+            /// Packets recovered by J-QoS (cache pull or cooperative
+            /// recovery).
+            pub fn recovered(&self) -> usize {
+                self.packets.iter().filter(|p| p.is_recovered()).count()
+            }
+        }
+    };
+}
+pub(crate) use impl_packet_counts;
+
+impl_packet_counts!(FlowReport);
+
 impl FlowReport {
-    /// Packets sent.
-    pub fn sent(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Packets delivered by any path.
-    pub fn delivered(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.delivered_at.is_some())
-            .count()
-    }
-
-    /// Packets never delivered.
-    pub fn unrecovered(&self) -> usize {
-        self.sent() - self.delivered()
-    }
-
-    /// Packets that arrived on the direct Internet path.
-    pub fn delivered_direct(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.method == Some(DeliveryMethod::Direct))
-            .count()
-    }
-
     /// Packets that arrived via the cloud overlay (forwarding service).
     pub fn delivered_cloud(&self) -> usize {
         self.packets
             .iter()
             .filter(|p| p.method == Some(DeliveryMethod::CloudForwarded))
-            .count()
-    }
-
-    /// Packets recovered by J-QoS (cache pull or cooperative recovery).
-    pub fn recovered(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.method.map(|m| m.is_recovery()).unwrap_or(false))
             .count()
     }
 
@@ -409,9 +332,7 @@ impl FlowReport {
         let ok = self
             .packets
             .iter()
-            .filter(|p| {
-                p.method.map(|m| m.is_recovery()).unwrap_or(false) && p.delivered_within(budget)
-            })
+            .filter(|p| p.is_recovered() && p.delivered_within(budget))
             .count();
         ok as f64 / lost as f64
     }

@@ -1,13 +1,12 @@
 //! Declarative scenario grids executed across worker threads.
 //!
 //! Every figure of the paper's evaluation is some sweep over scenario
-//! parameters: seeds, loss models, service mixes, coding parameters, or a
-//! figure-specific free axis (a path index, a thread count, a configuration
-//! id).  [`SweepGrid`] expresses that sweep declaratively as the cartesian
-//! product of its axes; [`ExperimentSuite`] executes the resulting
-//! [`SweepPoint`]s across worker threads (vendored crossbeam scoped threads)
-//! and aggregates the per-point [`PointStats`] into a
-//! [`netsim::stats::SweepReport`].
+//! parameters.  [`SweepGrid`] expresses it as one labelled *payload* axis —
+//! whatever the figure varies: a path index, a loss model, a fleet
+//! configuration — crossed with a seed axis; a figure that varies two things
+//! composes its axes with [`cross`] first.  [`ExperimentSuite`] executes the
+//! resulting [`SweepPoint`]s across worker threads and aggregates the
+//! per-point [`PointStats`] into a [`netsim::stats::SweepReport`].
 //!
 //! # Determinism
 //!
@@ -22,62 +21,58 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use netsim::loss::LossSpec;
 use netsim::rng::{component_rng, derive_seed};
 use netsim::stats::{PointStats, SweepReport};
 use rand::rngs::SmallRng;
 
-use crate::coding::params::CodingParams;
-use crate::experiment::city::CityAxis;
-use crate::fleet::FleetAxis;
-use crate::select::ServiceKind;
-
-/// One entry of a labelled axis.
-#[derive(Clone, Debug)]
-struct AxisEntry<T> {
-    label: String,
-    value: T,
-}
-
-fn axis<T>(entries: Vec<(String, T)>) -> Vec<AxisEntry<T>> {
-    entries
-        .into_iter()
-        .map(|(label, value)| AxisEntry { label, value })
-        .collect()
-}
-
-/// A declarative grid of scenario points: the cartesian product of a seed
-/// axis, a loss-model axis, a service-mix axis, a coding-parameter axis, a
-/// fleet axis (DC count, placement strategy, failure schedule) and a
-/// figure-specific free `variant` axis.
+/// The cartesian product of two labelled axes, `outer`-major, joining the
+/// labels with `/` — how a figure that sweeps two things builds the payload
+/// axis of its [`SweepGrid`].
 ///
-/// Axes left untouched contribute a single neutral (unlabelled) entry, so a
-/// grid only multiplies along the dimensions an experiment actually sweeps.
-/// Point order is the deterministic nested-loop order with `variants`
-/// outermost and `seeds` innermost.
+/// ```
+/// use jqos_core::experiment::sweep::cross;
+///
+/// let axis = cross(&[("a", 1), ("b", 2)], &[("x", 0.5)]);
+/// assert_eq!(axis[1], ("b/x".to_string(), (2, 0.5)));
+/// ```
+pub fn cross<A: Clone, B: Clone>(
+    outer: &[(impl AsRef<str>, A)],
+    inner: &[(impl AsRef<str>, B)],
+) -> Vec<(String, (A, B))> {
+    let mut out = Vec::with_capacity(outer.len() * inner.len());
+    for (outer_label, a) in outer {
+        for (inner_label, b) in inner {
+            out.push((
+                format!("{}/{}", outer_label.as_ref(), inner_label.as_ref()),
+                (a.clone(), b.clone()),
+            ));
+        }
+    }
+    out
+}
+
+/// A declarative grid of scenario points: one labelled payload axis crossed
+/// with a seed axis.
+///
+/// Point order is the deterministic nested-loop order with the payload axis
+/// outermost and seeds innermost.  A fresh grid has the single unlabelled
+/// payload `()`, so a pure seed sweep needs no axis at all.
 ///
 /// ```
 /// use jqos_core::SweepGrid;
 /// use netsim::loss::LossSpec;
 ///
-/// let grid = SweepGrid::new()
-///     .replicates(3)
-///     .loss_models(vec![
-///         ("p1", LossSpec::Bernoulli(0.01)),
-///         ("p5", LossSpec::Bernoulli(0.05)),
-///     ]);
-/// // 3 seeds × 2 loss models; the other three axes stay neutral.
+/// let grid = SweepGrid::new().replicates(3).axis(vec![
+///     ("p1", LossSpec::Bernoulli(0.01)),
+///     ("p5", LossSpec::Bernoulli(0.05)),
+/// ]);
+/// // 2 loss models × 3 seeds.
 /// assert_eq!(grid.len(), 6);
 /// ```
 #[derive(Clone, Debug)]
-pub struct SweepGrid {
+pub struct SweepGrid<P = ()> {
     seeds: Vec<u64>,
-    loss: Vec<AxisEntry<LossSpec>>,
-    mixes: Vec<AxisEntry<Vec<ServiceKind>>>,
-    coding: Vec<AxisEntry<CodingParams>>,
-    fleet: Vec<AxisEntry<FleetAxis>>,
-    city: Vec<AxisEntry<CityAxis>>,
-    variants: Vec<AxisEntry<u64>>,
+    payloads: Vec<(String, P)>,
 }
 
 impl Default for SweepGrid {
@@ -87,19 +82,16 @@ impl Default for SweepGrid {
 }
 
 impl SweepGrid {
-    /// A 1×1×1×1×1×1×1 grid (one point, all axes neutral).
+    /// A 1×1 grid: seed 0, the unlabelled payload `()`.
     pub fn new() -> Self {
         SweepGrid {
             seeds: vec![0],
-            loss: axis(vec![(String::new(), LossSpec::None)]),
-            mixes: axis(vec![(String::new(), Vec::new())]),
-            coding: axis(vec![(String::new(), CodingParams::default())]),
-            fleet: axis(vec![(String::new(), FleetAxis::default())]),
-            city: axis(vec![(String::new(), CityAxis::default())]),
-            variants: axis(vec![(String::new(), 0)]),
+            payloads: vec![(String::new(), ())],
         }
     }
+}
 
+impl<P> SweepGrid<P> {
     /// Replaces the seed axis (one replicate per seed value).
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = seeds.into_iter().collect();
@@ -112,61 +104,18 @@ impl SweepGrid {
         self.seeds(0..count as u64)
     }
 
-    /// Replaces the loss-model axis.
-    pub fn loss_models(mut self, entries: Vec<(impl Into<String>, LossSpec)>) -> Self {
-        assert!(!entries.is_empty(), "loss axis must not be empty");
-        self.loss = axis(entries.into_iter().map(|(l, v)| (l.into(), v)).collect());
-        self
-    }
-
-    /// Replaces the service-mix axis (each entry is the ordered list of
-    /// services for the scenario's flows).
-    pub fn service_mixes(mut self, entries: Vec<(impl Into<String>, Vec<ServiceKind>)>) -> Self {
-        assert!(!entries.is_empty(), "service-mix axis must not be empty");
-        self.mixes = axis(entries.into_iter().map(|(l, v)| (l.into(), v)).collect());
-        self
-    }
-
-    /// Replaces the coding-parameter axis.
-    pub fn coding_params(mut self, entries: Vec<(impl Into<String>, CodingParams)>) -> Self {
-        assert!(!entries.is_empty(), "coding axis must not be empty");
-        self.coding = axis(entries.into_iter().map(|(l, v)| (l.into(), v)).collect());
-        self
-    }
-
-    /// Replaces the fleet axis (DC fleet size/capacity, placement strategy
-    /// and failure schedule of fleet scenarios).
-    pub fn fleet_configs(mut self, entries: Vec<(impl Into<String>, FleetAxis)>) -> Self {
-        assert!(!entries.is_empty(), "fleet axis must not be empty");
-        self.fleet = axis(entries.into_iter().map(|(l, v)| (l.into(), v)).collect());
-        self
-    }
-
-    /// Replaces the city axis (population size, diurnal phase, flash-crowd
-    /// regime of population-scale scenarios).
-    pub fn city_configs(mut self, entries: Vec<(impl Into<String>, CityAxis)>) -> Self {
-        assert!(!entries.is_empty(), "city axis must not be empty");
-        self.city = axis(entries.into_iter().map(|(l, v)| (l.into(), v)).collect());
-        self
-    }
-
-    /// Replaces the free variant axis (figure-specific: a path index, an
-    /// engine thread count, a configuration id, ...).
-    pub fn variants(mut self, entries: Vec<(impl Into<String>, u64)>) -> Self {
-        assert!(!entries.is_empty(), "variant axis must not be empty");
-        self.variants = axis(entries.into_iter().map(|(l, v)| (l.into(), v)).collect());
-        self
+    /// Replaces the payload axis.
+    pub fn axis<Q>(self, entries: Vec<(impl Into<String>, Q)>) -> SweepGrid<Q> {
+        assert!(!entries.is_empty(), "payload axis must not be empty");
+        SweepGrid {
+            seeds: self.seeds,
+            payloads: entries.into_iter().map(|(l, v)| (l.into(), v)).collect(),
+        }
     }
 
     /// Total number of grid points.
     pub fn len(&self) -> usize {
-        self.seeds.len()
-            * self.loss.len()
-            * self.mixes.len()
-            * self.coding.len()
-            * self.fleet.len()
-            * self.city.len()
-            * self.variants.len()
+        self.seeds.len() * self.payloads.len()
     }
 
     /// `true` only for a degenerate grid (never: axes are non-empty).
@@ -176,44 +125,22 @@ impl SweepGrid {
 
     /// Materialises the grid into points, stamping each with the suite's
     /// master seed and its own index.
-    fn points(&self, master_seed: u64) -> Vec<SweepPoint> {
+    fn points(&self, master_seed: u64) -> Vec<SweepPoint<P>>
+    where
+        P: Clone,
+    {
         let mut out = Vec::with_capacity(self.len());
-        for (variant_idx, variant) in self.variants.iter().enumerate() {
-            for (city_idx, city) in self.city.iter().enumerate() {
-                for (fleet_idx, fleet) in self.fleet.iter().enumerate() {
-                    for (coding_idx, coding) in self.coding.iter().enumerate() {
-                        for (mix_idx, mix) in self.mixes.iter().enumerate() {
-                            for (loss_idx, loss) in self.loss.iter().enumerate() {
-                                for (seed_idx, &seed) in self.seeds.iter().enumerate() {
-                                    out.push(SweepPoint {
-                                        index: out.len(),
-                                        master_seed,
-                                        seed,
-                                        seed_idx,
-                                        loss: loss.value.clone(),
-                                        loss_label: loss.label.clone(),
-                                        loss_idx,
-                                        mix: mix.value.clone(),
-                                        mix_label: mix.label.clone(),
-                                        mix_idx,
-                                        coding: coding.value,
-                                        coding_label: coding.label.clone(),
-                                        coding_idx,
-                                        fleet: fleet.value.clone(),
-                                        fleet_label: fleet.label.clone(),
-                                        fleet_idx,
-                                        city: city.value,
-                                        city_label: city.label.clone(),
-                                        city_idx,
-                                        variant: variant.value,
-                                        variant_label: variant.label.clone(),
-                                        variant_idx,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
+        for (payload_idx, (label, payload)) in self.payloads.iter().enumerate() {
+            for (seed_idx, &seed) in self.seeds.iter().enumerate() {
+                out.push(SweepPoint {
+                    index: out.len(),
+                    master_seed,
+                    seed,
+                    seed_idx,
+                    payload: payload.clone(),
+                    payload_label: label.clone(),
+                    payload_idx,
+                });
             }
         }
         out
@@ -222,7 +149,7 @@ impl SweepGrid {
 
 /// One fully resolved point of a [`SweepGrid`].
 #[derive(Clone, Debug)]
-pub struct SweepPoint {
+pub struct SweepPoint<P = ()> {
     /// Position in grid order (stable across runs and thread counts).
     pub index: usize,
     /// The suite's master seed.
@@ -231,45 +158,15 @@ pub struct SweepPoint {
     pub seed: u64,
     /// Index into the seed axis.
     pub seed_idx: usize,
-    /// Loss-model axis value.
-    pub loss: LossSpec,
-    /// Loss-model axis label (empty on the neutral axis).
-    pub loss_label: String,
-    /// Index into the loss axis.
-    pub loss_idx: usize,
-    /// Service-mix axis value.
-    pub mix: Vec<ServiceKind>,
-    /// Service-mix axis label.
-    pub mix_label: String,
-    /// Index into the service-mix axis.
-    pub mix_idx: usize,
-    /// Coding-parameter axis value.
-    pub coding: CodingParams,
-    /// Coding-parameter axis label.
-    pub coding_label: String,
-    /// Index into the coding axis.
-    pub coding_idx: usize,
-    /// Fleet axis value (DC fleet, placement strategy, failure schedule).
-    pub fleet: FleetAxis,
-    /// Fleet axis label.
-    pub fleet_label: String,
-    /// Index into the fleet axis.
-    pub fleet_idx: usize,
-    /// City axis value (population, diurnal phase, flash-crowd regime).
-    pub city: CityAxis,
-    /// City axis label.
-    pub city_label: String,
-    /// Index into the city axis.
-    pub city_idx: usize,
-    /// Free-axis value.
-    pub variant: u64,
-    /// Free-axis label.
-    pub variant_label: String,
-    /// Index into the variant axis.
-    pub variant_idx: usize,
+    /// Payload-axis value.
+    pub payload: P,
+    /// Payload-axis label (empty on the unlabelled `()` axis).
+    pub payload_label: String,
+    /// Index into the payload axis.
+    pub payload_idx: usize,
 }
 
-impl SweepPoint {
+impl<P> SweepPoint<P> {
     /// The scenario seed for this point, derived from
     /// `(master_seed, point_index)` and the seed-axis value — independent of
     /// worker threads and execution order.
@@ -278,7 +175,7 @@ impl SweepPoint {
     }
 
     /// A seed that is identical for points sharing a seed-axis value,
-    /// whatever their position on the other axes.  Use this instead of
+    /// whatever their payload.  Use this instead of
     /// [`SweepPoint::scenario_seed`] for *paired* comparisons — e.g. running
     /// the same path (seed axis) under two coding variants against the same
     /// loss realisation, so the variant delta is not polluted by seed noise.
@@ -298,59 +195,21 @@ impl SweepPoint {
         component_rng(self.scenario_seed(), POINT_RNG_STREAM)
     }
 
-    /// Human-readable label joining the non-neutral axis labels.
+    /// Human-readable label: the payload label (if any), then the seed.
     pub fn label(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for axis_label in [
-            &self.variant_label,
-            &self.city_label,
-            &self.fleet_label,
-            &self.coding_label,
-            &self.mix_label,
-            &self.loss_label,
-        ] {
-            if !axis_label.is_empty() {
-                parts.push(axis_label.clone());
-            }
-        }
-        parts.push(format!("s{}", self.seed));
-        parts.join("/")
-    }
-}
-
-/// Picks the worker-thread count for a sweep: `JQOS_SWEEP_THREADS` if set,
-/// otherwise the machine's available parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("JQOS_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
+        if self.payload_label.is_empty() {
+            format!("s{}", self.seed)
+        } else {
+            format!("{}/s{}", self.payload_label, self.seed)
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Picks the intra-point worker count for scenarios decomposed into
-/// independent link groups: `JQOS_INTRA_THREADS` if set, otherwise 1
-/// (intra-point parallelism off).
-///
-/// Unlike [`default_threads`] this defaults to *serial*: most sweep points
-/// are small, and the across-point workers already use the machine.  Set the
-/// variable for single large points (e.g. the stress scenario).
-pub fn default_intra_threads() -> usize {
-    if let Ok(v) = std::env::var("JQOS_INTRA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    1
 }
 
 /// Runs `parts` independent link-group computations on up to `threads`
 /// workers and returns their results in group order.
 ///
-/// This is the intra-point counterpart of [`ExperimentSuite::run`]: results
+/// This is the one worker pool of the experiment layer —
+/// [`ExperimentSuite::run`] executes its grid points on it too.  Results
 /// land in a slot vector indexed by group, so scheduling never leaks into
 /// the output, and each group must derive its randomness from its own index
 /// (see [`netsim::rng::group_seed`]) — under those rules any `threads` value
@@ -416,22 +275,23 @@ where
 /// assert_eq!(serial.digest(), parallel.digest());
 /// assert_eq!(serial.report.metric_series("double"), vec![0.0, 2.0, 4.0, 6.0]);
 /// ```
-pub struct ExperimentSuite<R>
+pub struct ExperimentSuite<P, R>
 where
-    R: Fn(&SweepPoint) -> PointStats + Sync,
+    R: Fn(&SweepPoint<P>) -> PointStats + Sync,
 {
     name: String,
     master_seed: u64,
-    grid: SweepGrid,
+    grid: SweepGrid<P>,
     runner: R,
 }
 
-impl<R> ExperimentSuite<R>
+impl<P, R> ExperimentSuite<P, R>
 where
-    R: Fn(&SweepPoint) -> PointStats + Sync,
+    P: Clone + Sync,
+    R: Fn(&SweepPoint<P>) -> PointStats + Sync,
 {
     /// Creates a suite.
-    pub fn new(name: impl Into<String>, master_seed: u64, grid: SweepGrid, runner: R) -> Self {
+    pub fn new(name: impl Into<String>, master_seed: u64, grid: SweepGrid<P>, runner: R) -> Self {
         ExperimentSuite {
             name: name.into(),
             master_seed,
@@ -450,74 +310,38 @@ where
         self.grid.len()
     }
 
-    /// Executes every grid point on `threads` worker threads and returns the
-    /// aggregated report plus timing.
-    ///
-    /// Results land in a slot vector indexed by point, so completion order —
-    /// which does depend on scheduling — never leaks into the report.
+    /// Executes every grid point on `threads` worker threads
+    /// ([`run_link_groups`], so completion order never leaks into the
+    /// report) and returns the aggregated report plus timing.
     pub fn run(&self, threads: usize) -> SuiteReport {
         let points = self.grid.points(self.master_seed);
-        let n = points.len();
-        let threads = threads.max(1).min(n.max(1));
+        let threads = threads.max(1).min(points.len().max(1));
         let started = Instant::now();
-
-        let mut outcomes: Vec<Option<(PointStats, f64)>> = Vec::with_capacity(n);
-        if threads == 1 {
-            for point in &points {
-                outcomes.push(Some(Self::run_point(&self.runner, point)));
+        let outcomes = run_link_groups(points.len(), threads, |idx| {
+            let point = &points[idx];
+            let t0 = Instant::now();
+            let mut stats = (self.runner)(point);
+            if stats.label.is_empty() {
+                stats.label = point.label();
             }
-        } else {
-            let slots: Mutex<Vec<Option<(PointStats, f64)>>> = Mutex::new(vec![None; n]);
-            let cursor = AtomicUsize::new(0);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let outcome = Self::run_point(&self.runner, &points[idx]);
-                        slots.lock().expect("sweep slot lock")[idx] = Some(outcome);
-                    });
-                }
-            })
-            .expect("sweep worker panicked");
-            outcomes = slots.into_inner().expect("sweep slot lock");
-        }
-
+            (stats, t0.elapsed().as_secs_f64() * 1_000.0)
+        });
         let total_wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
+
         let mut report = SweepReport::new();
-        let mut point_wall_ms = Vec::with_capacity(n);
-        let mut point_labels = Vec::with_capacity(n);
-        for (point, outcome) in points.iter().zip(outcomes) {
-            let (stats, wall) = outcome.expect("every sweep point must complete");
-            point_labels.push(point.label());
+        let mut point_wall_ms = Vec::with_capacity(points.len());
+        for (stats, wall) in outcomes {
             point_wall_ms.push(wall);
             report.push(stats);
         }
-
         SuiteReport {
             name: self.name.clone(),
             threads,
             report,
-            point_labels,
+            point_labels: points.iter().map(SweepPoint::label).collect(),
             point_wall_ms,
             total_wall_ms,
         }
-    }
-
-    /// Convenience: [`ExperimentSuite::run`] with [`default_threads`].
-    pub fn run_default(&self) -> SuiteReport {
-        self.run(default_threads())
-    }
-
-    fn run_point(runner: &R, point: &SweepPoint) -> (PointStats, f64) {
-        let t0 = Instant::now();
-        let mut stats = runner(point);
-        if stats.label.is_empty() {
-            stats.label = point.label();
-        }
-        (stats, t0.elapsed().as_secs_f64() * 1_000.0)
     }
 }
 
@@ -561,6 +385,15 @@ impl SuiteReport {
         self.report.render_deterministic()
     }
 
+    /// FNV-1a of [`SuiteReport::digest`]: sixteen hex digits that differ
+    /// whenever the deterministic results do, so two runs can be compared by
+    /// eye.
+    pub fn fingerprint(&self) -> u64 {
+        self.digest().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// Prints the per-point and aggregate wall-clock summary.
     pub fn print_timing_summary(&self) {
         println!(
@@ -591,95 +424,196 @@ impl SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nodes::source::CbrSource;
-    use crate::select::ServiceKind;
-    use netsim::Dur;
+    use rand::RngCore;
 
-    fn demo_grid() -> SweepGrid {
-        SweepGrid::new()
-            .seeds([1, 2, 3])
-            .loss_models(vec![
-                ("p1", LossSpec::Bernoulli(0.01)),
-                ("p5", LossSpec::Bernoulli(0.05)),
-            ])
-            .variants(vec![("a", 0), ("b", 1)])
+    fn variants() -> Vec<(&'static str, u64)> {
+        vec![("a", 0), ("b", 1)]
     }
 
+    fn losses() -> Vec<(&'static str, f64)> {
+        vec![("p1", 0.01), ("p5", 0.05)]
+    }
+
+    fn demo_grid() -> SweepGrid<(u64, f64)> {
+        SweepGrid::new()
+            .seeds([1, 2, 3])
+            .axis(cross(&variants(), &losses()))
+    }
+
+    /// `(index, label, scenario_seed, paired_seed)` of every point.
+    fn tuples<P: Clone>(grid: &SweepGrid<P>, master_seed: u64) -> Vec<(usize, String, u64, u64)> {
+        grid.points(master_seed)
+            .iter()
+            .map(|p| (p.index, p.label(), p.scenario_seed(), p.paired_seed()))
+            .collect()
+    }
+
+    fn expect(rows: &[(usize, &str, u64, u64)]) -> Vec<(usize, String, u64, u64)> {
+        rows.iter()
+            .map(|&(i, label, scenario, paired)| (i, label.to_string(), scenario, paired))
+            .collect()
+    }
+
+    /// Point order, labels and seeds of the four multi-axis shapes the
+    /// figures and integration tests use, as literal values captured from
+    /// the seven-axis grid this type replaced: every committed figure series
+    /// and golden digest depends on them.
     #[test]
-    fn grid_is_the_cartesian_product_in_nested_loop_order() {
-        let grid = demo_grid();
-        assert_eq!(grid.len(), 12);
-        let points = grid.points(9);
+    fn grid_order_labels_and_seeds_are_pinned() {
+        // fig8: seeds × variants.
+        let fig8 = SweepGrid::new()
+            .seeds([0, 1, 2])
+            .axis(vec![("cross2", 2u64), ("cross1", 1)]);
+        assert_eq!(
+            tuples(&fig8, 7),
+            expect(&[
+                (0, "cross2/s0", 0xb78b9f38a670e787, 0x12ae30237b17df14),
+                (1, "cross2/s1", 0x9e6585305d1d1e16, 0xf75f04cbb5a1a1dd),
+                (2, "cross2/s2", 0x64e236f0164a100e, 0xb3466f8a7b81a989),
+                (3, "cross1/s0", 0x60960fd148961d77, 0x12ae30237b17df14),
+                (4, "cross1/s1", 0xc70361c96dcf299e, 0xf75f04cbb5a1a1dd),
+                (5, "cross1/s2", 0x6834ab2909c5a76a, 0xb3466f8a7b81a989),
+            ])
+        );
+        // fleet: seeds × loss × fleet (fleet outside loss).
+        let fleet = SweepGrid::new()
+            .replicates(2)
+            .axis(cross(&[("n3-rr", 3usize), ("n5-lba", 5)], &[("p2", 0.02)]));
+        assert_eq!(
+            tuples(&fleet, 23),
+            expect(&[
+                (0, "n3-rr/p2/s0", 0xe2459e5d568e881c, 0x378a5760be593ca5),
+                (1, "n3-rr/p2/s1", 0xf8d135a5e0b3566e, 0xff49f9357523cf3e),
+                (2, "n5-lba/p2/s0", 0xefe09f07258157ac, 0x378a5760be593ca5),
+                (3, "n5-lba/p2/s1", 0x5812f794093f16ef, 0xff49f9357523cf3e),
+            ])
+        );
+        // city: seeds × city.
+        let city = SweepGrid::new().replicates(2).axis(vec![
+            ("c100k-ph0-fcnone", 100_000u64),
+            ("c1m-ph8-fcglobal", 1_000_000),
+        ]);
+        assert_eq!(
+            tuples(&city, 29),
+            expect(&[
+                (
+                    0,
+                    "c100k-ph0-fcnone/s0",
+                    0x54e1cd6142b0c906,
+                    0x4f7abb7627b74f52
+                ),
+                (
+                    1,
+                    "c100k-ph0-fcnone/s1",
+                    0xc3c18508123e11f2,
+                    0xae9b71a31d422e93
+                ),
+                (
+                    2,
+                    "c1m-ph8-fcglobal/s0",
+                    0xb66f9bcef788d33f,
+                    0x4f7abb7627b74f52
+                ),
+                (
+                    3,
+                    "c1m-ph8-fcglobal/s1",
+                    0x4d6275feadd10415,
+                    0xae9b71a31d422e93
+                ),
+            ])
+        );
+        // tests/end_to_end.rs: seeds × loss × mix (mix outside loss).
+        let e2e = SweepGrid::new().seeds([5, 6]).axis(cross(
+            &[("caching", 1usize), ("coding4", 4)],
+            &[("bern2", 0.02), ("burst", 0.01)],
+        ));
+        assert_eq!(
+            tuples(&e2e, 2024),
+            expect(&[
+                (
+                    0,
+                    "caching/bern2/s5",
+                    0x80cfe34ad9fa4bba,
+                    0x3bbdabf6481ea868
+                ),
+                (
+                    1,
+                    "caching/bern2/s6",
+                    0xf752364e1982ae39,
+                    0x4003de40e3dcd1ae
+                ),
+                (
+                    2,
+                    "caching/burst/s5",
+                    0xa9a257475cdcea20,
+                    0x3bbdabf6481ea868
+                ),
+                (
+                    3,
+                    "caching/burst/s6",
+                    0x3ed824a5b5393481,
+                    0x4003de40e3dcd1ae
+                ),
+                (
+                    4,
+                    "coding4/bern2/s5",
+                    0xcc0ed91987fd9883,
+                    0x3bbdabf6481ea868
+                ),
+                (
+                    5,
+                    "coding4/bern2/s6",
+                    0x0bc7c039c19963eb,
+                    0x4003de40e3dcd1ae
+                ),
+                (
+                    6,
+                    "coding4/burst/s5",
+                    0x14875eb3d11aee27,
+                    0x3bbdabf6481ea868
+                ),
+                (
+                    7,
+                    "coding4/burst/s6",
+                    0x5bfbdae1cd0e06b1,
+                    0x4003de40e3dcd1ae
+                ),
+            ])
+        );
+
+        // The product is payload-major with seeds innermost, and every
+        // point gets its own scenario seed.
+        let points = demo_grid().points(9);
         assert_eq!(points.len(), 12);
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(p.index, i);
-        }
-        // seeds innermost, variants outermost.
-        assert_eq!(points[0].seed, 1);
-        assert_eq!(points[1].seed, 2);
-        assert_eq!(points[3].loss_label, "p5");
-        assert_eq!(points[6].variant_label, "b");
-        // Every point gets a distinct scenario seed.
+        assert_eq!((points[0].seed, points[1].seed), (1, 2));
+        assert_eq!(points[3].payload_label, "a/p5");
+        assert_eq!((points[6].payload, points[6].payload_idx), ((1, 0.01), 2));
         let mut seeds: Vec<u64> = points.iter().map(|p| p.scenario_seed()).collect();
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 12);
-    }
 
-    #[test]
-    fn fleet_axis_multiplies_the_grid_between_variants_and_coding() {
-        use crate::fleet::{DcId, FailureSchedule, FleetAxis, PlacementStrategy};
-        use netsim::Time;
-        let grid = demo_grid().fleet_configs(vec![
-            ("f3", FleetAxis::default()),
-            (
-                "f5",
-                FleetAxis {
-                    fleet_size: 5,
-                    capacity: 4,
-                    placement: PlacementStrategy::LatencyBudgetAware,
-                    failures: FailureSchedule::new().fail(DcId(1), Time::from_secs(3)),
-                },
-            ),
-        ]);
-        assert_eq!(grid.len(), 24);
-        let points = grid.points(9);
-        // Fleet sits between variants (outermost) and coding: for variant
-        // "a" the first 6 points are f3, the next 6 f5.
-        assert_eq!(points[0].fleet_label, "f3");
-        assert_eq!(points[5].fleet.fleet_size, 3);
-        assert_eq!(points[6].fleet_label, "f5");
-        assert_eq!(points[6].fleet.fleet_size, 5);
-        assert!(!points[6].fleet.failures.is_empty());
-        assert_eq!(points[12].variant_label, "b");
+        // A third axis composes the same way: it sits between the variant
+        // (outermost) and the loss model, seeds stay innermost.
+        let fleets = [("f3", 3usize), ("f5", 5)];
+        let three = SweepGrid::new()
+            .seeds([1, 2, 3])
+            .axis(cross(&cross(&variants(), &fleets), &losses()));
+        assert_eq!(three.len(), 24);
+        let points = three.points(9);
         assert_eq!(points[0].label(), "a/f3/p1/s1");
-    }
-
-    #[test]
-    fn city_axis_multiplies_the_grid_between_variants_and_fleet() {
-        use crate::experiment::city::{CityAxis, FlashCrowdLevel};
-        let grid = demo_grid().city_configs(vec![
-            ("c100k-ph0-fcnone", CityAxis::default()),
-            (
-                "c1m-ph8-fcglobal",
-                CityAxis {
-                    population: 1_000_000,
-                    diurnal_phase_hours: 8.0,
-                    flash_crowd: FlashCrowdLevel::Global,
-                },
-            ),
-        ]);
-        assert_eq!(grid.len(), 24);
-        let points = grid.points(9);
-        // City sits between variants (outermost) and fleet: for variant "a"
-        // the first 6 points are the 100k city, the next 6 the 1m city.
-        assert_eq!(points[0].city_label, "c100k-ph0-fcnone");
-        assert_eq!(points[5].city.population, 100_000);
-        assert_eq!(points[6].city_label, "c1m-ph8-fcglobal");
-        assert_eq!(points[6].city.population, 1_000_000);
-        assert_eq!(points[6].city.flash_crowd, FlashCrowdLevel::Global);
-        assert_eq!(points[12].variant_label, "b");
-        assert_eq!(points[0].label(), "a/c100k-ph0-fcnone/p1/s1");
+        assert_eq!(points[5].payload, ((0, 3), 0.05));
+        assert_eq!(points[6].label(), "a/f5/p1/s1");
+        assert_eq!(points[12].label(), "b/f3/p1/s1");
+        let cities = [
+            ("c100k-ph0-fcnone", 100_000u64),
+            ("c1m-ph8-fcglobal", 1_000_000),
+        ];
+        let three = SweepGrid::new()
+            .seeds([1, 2, 3])
+            .axis(cross(&cross(&variants(), &cities), &losses()));
+        assert_eq!(three.points(9)[0].label(), "a/c100k-ph0-fcnone/p1/s1");
+        assert_eq!(three.points(9)[6].payload.0 .1, 1_000_000);
     }
 
     #[test]
@@ -695,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn point_labels_skip_neutral_axes() {
+    fn point_labels_skip_the_unlabelled_axis() {
         let points = SweepGrid::new().seeds([7]).points(0);
         assert_eq!(points[0].label(), "s7");
         let points = demo_grid().points(0);
@@ -705,19 +639,15 @@ mod tests {
     #[test]
     fn multi_thread_run_is_byte_identical_to_single_thread() {
         let suite = ExperimentSuite::new("demo", 42, demo_grid(), |point| {
-            let report = crate::experiment::Scenario::new(point.scenario_seed())
-                .with_topology(netsim::Topology::wide_area(point.loss.clone()))
-                .add_flow(
-                    ServiceKind::Caching,
-                    Box::new(CbrSource::new(Dur::from_millis(20), 400, 50)),
-                )
-                .run(Dur::from_secs(2));
-            let f = &report.flows[0];
+            let mut rng = point.rng();
+            let (variant, loss) = point.payload;
             PointStats::new("")
-                .metric("sent", f.sent() as f64)
-                .metric("delivered", f.delivered() as f64)
-                .metric("recovery_rate", f.recovery_rate())
-                .series("latencies_ms", f.latencies_ms())
+                .metric("variant", variant as f64)
+                .metric("loss", loss)
+                .series(
+                    "draws",
+                    (0..64).map(|_| (rng.next_u64() >> 11) as f64).collect(),
+                )
         });
         let serial = suite.run(1);
         let parallel = suite.run(4);
@@ -742,12 +672,6 @@ mod tests {
         );
         assert_eq!(out.point_wall_ms.len(), 5);
         assert!(out.total_wall_ms >= 0.0);
-    }
-
-    #[test]
-    fn default_threads_is_at_least_one() {
-        assert!(default_threads() >= 1);
-        assert!(default_intra_threads() >= 1);
     }
 
     #[test]

@@ -14,14 +14,12 @@ use super::placement::PlacementStrategy;
 use super::registry::{DcCapabilities, DcState, FleetRegistry, FleetStats, FlowRequirements};
 use super::{fleet_rng, DcId};
 use crate::coding::params::CodingParams;
+use crate::experiment::deploy::Deployment;
 use crate::experiment::PacketOutcome;
-use crate::nodes::dc1::Dc1Node;
-use crate::nodes::dc2::{Dc2Config, Dc2Node};
-use crate::nodes::receiver::{ReceiverConfig, ReceiverNode};
-use crate::nodes::sender::SenderNode;
+use crate::nodes::dc2::Dc2Config;
+use crate::nodes::receiver::ReceiverNode;
 use crate::nodes::source::TrafficSource;
-use crate::nodes::FlowSpec;
-use crate::packet::{FlowId, Msg};
+use crate::packet::FlowId;
 use crate::select::ServiceKind;
 
 /// Specification of one relay DC in a fleet scenario.
@@ -209,19 +207,11 @@ impl FleetScenario {
         let n_dcs = self.dcs.len();
         let nodes_hint = 2 + n_dcs * 2 + 2 * self.flows.len();
         let events_hint = (64 * self.flows.len() + 16 * n_dcs).clamp(256, 8_192);
-        let mut sim: Simulator<Msg> =
+        let sim =
             Simulator::with_capacity_and_queue(self.seed, self.queue, nodes_hint, events_hint);
-
-        // DC nodes first, so their ids are known while flows register; blank
-        // instances are replaced with the registered ones before the run.
-        let mut dc1_node = Dc1Node::new(self.coding);
-        let dc1 = sim.add_node(Dc1Node::new(self.coding));
-        let mut dc2_nodes: Vec<Dc2Node> = Vec::with_capacity(n_dcs);
-        let mut dc2_ids: Vec<NodeId> = Vec::with_capacity(n_dcs);
-        for _ in &self.dcs {
-            dc2_nodes.push(Dc2Node::new(self.dc2_config));
-            dc2_ids.push(sim.add_node(Dc2Node::new(self.dc2_config)));
-        }
+        let y = self.internet.nominal_latency();
+        let rtt = y * 2;
+        let mut world = Deployment::new(sim, self.coding, self.dc2_config, n_dcs, rtt);
 
         // Register the fleet and place flows administratively at t = 0, on
         // the reserved fleet RNG stream of the scenario seed.
@@ -230,158 +220,116 @@ impl FleetScenario {
             registry.register_dc(spec.capabilities(), Time::ZERO);
         }
         let mut admission_rng = fleet_rng(self.seed);
-        let y = self.internet.nominal_latency();
-        let rtt = y * 2;
 
-        struct Wiring {
-            flow: FlowId,
-            service: ServiceKind,
-            latency_budget: Dur,
-            sender: NodeId,
-            receiver: NodeId,
-            initial_dc: Option<DcId>,
-            admission_drop: Option<DropReason>,
-        }
-        let mut wirings: Vec<Wiring> = Vec::with_capacity(self.flows.len());
+        // Per flow: its budget and what admission decided.
+        let mut admissions: Vec<(Dur, Result<DcId, DropReason>)> =
+            Vec::with_capacity(self.flows.len());
         let mut endpoints: BTreeMap<FlowId, FlowEndpoints> = BTreeMap::new();
 
         for (idx, plan) in self.flows.into_iter().enumerate() {
-            let flow = FlowId(idx as u32);
             let requirements = FlowRequirements {
                 service: plan.service,
                 latency_budget: plan.latency_budget,
                 direct_latency: y,
                 sender_access: self.sender_access,
             };
-            let placement = registry.place_flow(flow, requirements, &mut admission_rng);
+            let placement =
+                registry.place_flow(FlowId(idx as u32), requirements, &mut admission_rng);
             // A flow the fleet cannot host is downgraded to Internet-only:
-            // it still runs, it just gets no cloud help (and its inert DC2
-            // target is never contacted).
-            let (service, dc2_target, initial_dc, admission_drop) = match placement {
-                Ok(dc) => (plan.service, dc2_ids[dc.0 as usize], Some(dc), None),
-                Err(reason) => (ServiceKind::InternetOnly, dc1, None, Some(reason)),
+            // it still runs, it just gets no cloud help.
+            let service = match placement {
+                Ok(_) => plan.service,
+                Err(_) => ServiceKind::InternetOnly,
             };
-
-            let mut receiver_node = ReceiverNode::new(ReceiverConfig::prototype(rtt));
-            receiver_node.register_flow(flow, service, dc2_target);
-            let receiver = sim.add_node(receiver_node);
-            let spec = FlowSpec::new(flow, service, receiver, dc1, dc2_target);
-            let sender = sim.add_node(SenderNode::new(spec, plan.source));
-
-            dc1_node.register_flow(flow, service, dc2_target, receiver);
-            if let Some(dc) = initial_dc {
-                dc2_nodes[dc.0 as usize].register_flow(flow, service, receiver);
-                endpoints.insert(flow, FlowEndpoints { receiver, service });
+            let egress = placement.ok().map(|dc| dc.0 as usize);
+            let w = world.add_flow(service, egress, plan.source, None);
+            if placement.is_ok() {
+                let receiver = w.receiver;
+                endpoints.insert(w.flow, FlowEndpoints { receiver, service });
             }
-
-            wirings.push(Wiring {
-                flow,
-                service,
-                latency_budget: plan.latency_budget,
-                sender,
-                receiver,
-                initial_dc,
-                admission_drop,
-            });
+            admissions.push((plan.latency_budget, placement));
         }
 
         // Control plane: the controller takes over the populated registry;
         // each DC gets a heartbeat agent phased a little apart.
+        let (dc1, dc2_ids) = (world.dc1, world.dc2s.clone());
         let check_period = (self.heartbeat.interval / 2).max(Dur::from_millis(1));
-        let controller = sim.add_node(FleetControllerNode::new(
+        let controller = world.sim.add_node(FleetControllerNode::new(
             registry,
             dc2_ids.clone(),
             dc1,
             endpoints,
             check_period,
         ));
-        let mut agent_ids: Vec<NodeId> = Vec::with_capacity(n_dcs);
-        for i in 0..n_dcs {
-            agent_ids.push(sim.add_node(HeartbeatAgent::new(
-                DcId(i as u32),
-                controller,
-                self.heartbeat.interval,
-                Dur::from_millis(1 + i as u64),
-            )));
-        }
-
-        // Replace the blank DC nodes with the fully registered ones.
-        *sim.node_as::<Dc1Node>(dc1) = dc1_node;
-        for (i, node) in dc2_nodes.into_iter().enumerate() {
-            *sim.node_as::<Dc2Node>(dc2_ids[i]) = node;
-        }
+        let agent_ids: Vec<NodeId> = (0..n_dcs)
+            .map(|i| {
+                world.sim.add_node(HeartbeatAgent::new(
+                    DcId(i as u32),
+                    controller,
+                    self.heartbeat.interval,
+                    Dur::from_millis(1 + i as u64),
+                ))
+            })
+            .collect();
 
         // Links.  Every receiver is linked to every DC (a relocated flow's
         // NACKs must be able to reach its new DC), and the controller has a
         // low-latency control path to everything it re-wires.
         let control = LinkSpec::symmetric(self.control_latency);
-        sim.add_link(controller, dc1, control.clone());
+        world.sim.add_link(controller, dc1, control.clone());
         for (i, spec) in self.dcs.iter().enumerate() {
-            sim.add_link(dc1, dc2_ids[i], LinkSpec::symmetric(spec.inter_dc_latency));
-            sim.add_link(controller, dc2_ids[i], control.clone());
-            sim.add_link(controller, agent_ids[i], control.clone());
+            let inter_dc = LinkSpec::symmetric(spec.inter_dc_latency);
+            world.sim.add_link(dc1, dc2_ids[i], inter_dc);
+            world.sim.add_link(controller, dc2_ids[i], control.clone());
+            world
+                .sim
+                .add_link(controller, agent_ids[i], control.clone());
         }
-        for w in &wirings {
-            sim.add_link(w.sender, w.receiver, self.internet.clone());
-            sim.add_link(w.sender, dc1, LinkSpec::symmetric(self.sender_access));
-            sim.add_link(controller, w.receiver, control.clone());
-            for (i, spec) in self.dcs.iter().enumerate() {
-                sim.add_link(
-                    w.receiver,
-                    dc2_ids[i],
-                    LinkSpec::symmetric(spec.access_latency),
-                );
-            }
+        let receiver_access: Vec<LinkSpec> = self
+            .dcs
+            .iter()
+            .map(|spec| LinkSpec::symmetric(spec.access_latency))
+            .collect();
+        for i in 0..world.flows.len() {
+            let w = world.flows[i];
+            let sender_access = LinkSpec::symmetric(self.sender_access);
+            world.link_sender(w, self.internet.clone(), sender_access);
+            world.sim.add_link(controller, w.receiver, control.clone());
+            world.link_receiver(w, &receiver_access);
         }
 
         // Inject the crash schedule: a DC and its heartbeat agent go down
         // together, so the data plane and the health signal fail as one.
         for &(at, dc) in self.failures.events() {
-            sim.schedule_down(dc2_ids[dc.0 as usize], at);
-            sim.schedule_down(agent_ids[dc.0 as usize], at);
+            world.sim.schedule_down(dc2_ids[dc.0 as usize], at);
+            world.sim.schedule_down(agent_ids[dc.0 as usize], at);
         }
 
         // Run the workload, then give in-flight recoveries and failovers
         // time to finish.
-        sim.run_for(duration);
-        sim.run_for(rtt * 4 + self.heartbeat.deadline_step() * 2 + Dur::from_millis(500));
+        world.sim.run_for(duration);
+        world
+            .sim
+            .run_for(rtt * 4 + self.heartbeat.deadline_step() * 2 + Dur::from_millis(500));
 
-        // Collect per-flow reports.
-        let mut flows = Vec::with_capacity(wirings.len());
-        for w in &wirings {
-            let sent_log = sim.node_as::<SenderNode>(w.sender).sent_log().to_vec();
-            let (deliveries, recv_stats) = {
-                let r = sim.node_as::<ReceiverNode>(w.receiver);
-                (
-                    r.deliveries(w.flow),
-                    r.flow_stats(w.flow).unwrap_or_default(),
-                )
-            };
-            let packets = sent_log
-                .iter()
-                .map(|(seq, sent_at, size)| {
-                    let delivery = deliveries.iter().find(|(s, _)| s == seq).map(|(_, d)| *d);
-                    PacketOutcome {
-                        seq: *seq,
-                        sent_at: *sent_at,
-                        size: *size,
-                        delivered_at: delivery.map(|d| d.delivered_at),
-                        method: delivery.map(|d| d.method),
-                    }
-                })
-                .collect();
+        let mut flows = Vec::with_capacity(admissions.len());
+        for (i, (latency_budget, placement)) in admissions.into_iter().enumerate() {
+            let w = world.flows[i];
+            let packets = world.packet_outcomes(w);
+            let receiver = world.sim.node_as::<ReceiverNode>(w.receiver);
             flows.push(FleetFlowReport {
                 flow: w.flow,
                 service: w.service,
-                latency_budget: w.latency_budget,
-                initial_dc: w.initial_dc,
-                admission_drop: w.admission_drop,
+                latency_budget,
+                initial_dc: placement.ok(),
+                admission_drop: placement.err(),
                 packets,
-                nacks_sent: recv_stats.nacks_sent,
+                nacks_sent: receiver.flow_stats(w.flow).unwrap_or_default().nacks_sent,
             });
         }
 
-        let controller_ref = sim.node_as::<FleetControllerNode>(controller);
+        let messages_dropped_down = world.sim.stats().messages_dropped_down;
+        let controller_ref = world.sim.node_as::<FleetControllerNode>(controller);
         let events = controller_ref.events().to_vec();
         let fleet = controller_ref.registry().stats();
         let dc_states = (0..n_dcs)
@@ -394,7 +342,6 @@ impl FleetScenario {
                 )
             })
             .collect();
-        let messages_dropped_down = sim.stats().messages_dropped_down;
 
         FleetReport {
             flows,
@@ -427,50 +374,15 @@ pub struct FleetFlowReport {
     pub nacks_sent: u64,
 }
 
+crate::experiment::impl_packet_counts!(FleetFlowReport);
+
 impl FleetFlowReport {
-    /// Packets sent.
-    pub fn sent(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Packets delivered by any path.
-    pub fn delivered(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.delivered_at.is_some())
-            .count()
-    }
-
-    /// Packets never delivered.
-    pub fn unrecovered(&self) -> usize {
-        self.sent() - self.delivered()
-    }
-
-    /// Packets that arrived on the direct Internet path.
-    pub fn delivered_direct(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.method == Some(crate::nodes::receiver::DeliveryMethod::Direct))
-            .count()
-    }
-
-    /// Packets recovered by J-QoS (cache pull or cooperative recovery).
-    pub fn recovered(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.method.map(|m| m.is_recovery()).unwrap_or(false))
-            .count()
-    }
-
     /// Packets recovered whose delivery completed at or after `t` — the
     /// post-failover recovery activity of a relocated flow.
     pub fn recovered_after(&self, t: Time) -> usize {
         self.packets
             .iter()
-            .filter(|p| {
-                p.method.map(|m| m.is_recovery()).unwrap_or(false)
-                    && p.delivered_at.map(|d| d >= t).unwrap_or(false)
-            })
+            .filter(|p| p.is_recovered() && p.delivered_at.is_some_and(|d| d >= t))
             .count()
     }
 

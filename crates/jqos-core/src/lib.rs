@@ -44,8 +44,7 @@ pub mod services;
 
 pub use experiment::city::{CityAxis, FlashCrowdLevel};
 pub use experiment::sweep::{
-    default_intra_threads, default_threads, run_link_groups, ExperimentSuite, SuiteReport,
-    SweepGrid, SweepPoint,
+    cross, run_link_groups, ExperimentSuite, SuiteReport, SweepGrid, SweepPoint,
 };
 pub use experiment::{FlowReport, PacketOutcome, Scenario, ScenarioReport};
 pub use fleet::{
@@ -61,8 +60,7 @@ pub mod prelude {
     pub use crate::cost::{CostModel, Pricing, WorkloadProfile};
     pub use crate::experiment::city::{CityAxis, FlashCrowdLevel};
     pub use crate::experiment::sweep::{
-        default_intra_threads, default_threads, run_link_groups, ExperimentSuite, SuiteReport,
-        SweepGrid, SweepPoint,
+        cross, run_link_groups, ExperimentSuite, SuiteReport, SweepGrid, SweepPoint,
     };
     pub use crate::experiment::{FlowReport, PacketOutcome, Scenario, ScenarioReport};
     pub use crate::fleet::{

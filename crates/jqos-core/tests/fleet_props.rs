@@ -233,7 +233,7 @@ proptest! {
 /// byte-identical to the serial run.
 #[test]
 fn fleet_sweep_replays_identically_across_thread_counts() {
-    let grid = SweepGrid::new().replicates(2).fleet_configs(vec![
+    let grid = SweepGrid::new().replicates(2).axis(vec![
         (
             "rr",
             FleetAxis {
@@ -261,7 +261,7 @@ fn fleet_sweep_replays_identically_across_thread_counts() {
     ]);
     let suite = ExperimentSuite::new("fleet-props", 77, grid, |point| {
         let mut scenario = FleetScenario::new(point.scenario_seed())
-            .with_axis(&point.fleet)
+            .with_axis(&point.payload)
             .with_internet(
                 LinkSpec::symmetric(Dur::from_millis(75)).loss(LossSpec::Bernoulli(0.02)),
             );

@@ -116,7 +116,7 @@ proptest! {
 /// replay, checked here without the harness.
 #[test]
 fn city_sweep_replays_identically_across_thread_counts() {
-    let grid = SweepGrid::new().replicates(2).city_configs(vec![
+    let grid = SweepGrid::new().replicates(2).axis(vec![
         ("c100k", CityAxis::default()),
         (
             "c250k-fc",
@@ -128,7 +128,7 @@ fn city_sweep_replays_identically_across_thread_counts() {
         ),
     ]);
     let suite = ExperimentSuite::new("city-props", 31, grid, |point| {
-        let report = run_city(&tiny_config(point.city), point.scenario_seed());
+        let report = run_city(&tiny_config(point.payload), point.scenario_seed());
         let digest = report.digest();
         netsim::stats::PointStats::new("")
             .metric("arrivals", report.total_arrivals() as f64)

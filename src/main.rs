@@ -2,9 +2,11 @@
 //!
 //! * `jqos` — prints the workspace layout and how to regenerate every figure.
 //! * `jqos sweep --fig <id> [--threads N] [--no-baseline]` — runs one
-//!   figure's `ExperimentSuite` grid on N worker threads, printing per-point
-//!   and aggregate wall-clock plus (unless `--no-baseline`) a 1-thread replay
-//!   whose report is asserted byte-identical to the parallel run.
+//!   figure's `ExperimentSuite` grid on N worker threads (default: the
+//!   machine's available parallelism), printing per-point and aggregate
+//!   wall-clock, the FNV-1a of the deterministic report, and (unless
+//!   `--no-baseline`) a 1-thread replay whose report is asserted
+//!   byte-identical to the parallel run.
 //! * `jqos loadgen [--flows N] [--shards a,b,c] [--workers W] [--blast-ms T]`
 //!   — drives the live sharded relay with thousands of loopback flows and
 //!   writes `BENCH_net_loadgen.json`.
@@ -27,15 +29,9 @@ fn print_help() {
     println!("  web_transfer      TCP flow-completion-time tail (§6.4)");
     println!("  multicast_cache   hybrid multicast + mobility use cases (Fig. 3)");
     println!("  mobile_uplink     cellular feasibility study (§6.5)");
-    println!("  live_relay        tokio UDP relay + endpoints on loopback (§5 prototype)");
+    println!("  live_relay        sharded UDP relay + endpoints on loopback (§5 prototype)");
     println!();
-    println!("Figure regeneration (cargo run --release -p jqos-bench --bin <name>):");
-    println!("  fig7_feasibility, fig8_crwan, fig9a_skype, fig9b_tcp, fig10_scaling,");
-    println!(
-        "  sec65_mobile, sec66_cost, fleet_sweep, city_sweep   (set JQOS_QUICK=1 for a fast pass)"
-    );
-    println!();
-    println!("Parallel sweeps (same suites, via this CLI):");
+    println!("Figure regeneration (cargo run --release -- sweep --fig <id>):");
     println!(
         "  jqos sweep --fig {}   (JQOS_QUICK=1 for a fast pass)",
         jqos_bench::figures::FIGURE_IDS.join(" | ")
@@ -83,13 +79,13 @@ fn sweep(args: &[String]) -> ExitCode {
         eprintln!("error: sweep needs --fig <id> (try 'jqos sweep --list')");
         return ExitCode::FAILURE;
     };
-    let threads = threads.unwrap_or_else(jqos_core::default_threads);
-    // The baseline replay doubles as the determinism proof; the figure
-    // harness treats this switch as authoritative (set before any sweep
-    // worker threads exist), with quick mode as the unset-default.
-    std::env::set_var("JQOS_SWEEP_BASELINE", if baseline { "1" } else { "0" });
+    let threads = threads.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     println!("running figure {fig} sweep on {threads} worker thread(s)");
-    if jqos_bench::figures::run_figure(&fig, threads) {
+    if jqos_bench::figures::run_figure(&fig, threads, baseline) {
         ExitCode::SUCCESS
     } else {
         eprintln!("error: unknown figure id '{fig}' (try 'jqos sweep --list')");

@@ -1,10 +1,10 @@
 //! Integration tests spanning the whole workspace: simulator + J-QoS core +
-//! workloads + measurements, exercised the same way the figure binaries do.
+//! workloads + measurements, exercised the same way the figure suites do.
 
 use jqos::core::coding::params::CodingParams;
 use jqos::core::nodes::receiver::DeliveryMethod;
 use jqos::prelude::*;
-use jqos_bench::stress::{run_stress, run_stress_on_seed_engine, StressConfig};
+use jqos_bench::stress::{run_stress, StressConfig};
 use measurements::planetlab::planetlab_paths;
 use netsim::prelude::QueueKind;
 use proptest::prelude::*;
@@ -165,21 +165,21 @@ fn identical_seeds_yield_identical_scenario_reports() {
 /// 1-thread run of the same master seed.
 #[test]
 fn experiment_suite_is_byte_identical_across_thread_counts() {
-    let grid = SweepGrid::new()
-        .seeds([5, 6])
-        .loss_models(vec![
-            ("bern2", LossSpec::Bernoulli(0.02)),
-            ("burst", LossSpec::bursty(0.01, 4.0)),
-        ])
-        .service_mixes(vec![
+    let grid = SweepGrid::new().seeds([5, 6]).axis(cross(
+        &[
             ("caching", vec![ServiceKind::Caching]),
             ("coding4", vec![ServiceKind::Coding; 4]),
-        ]);
+        ],
+        &[
+            ("bern2", LossSpec::Bernoulli(0.02)),
+            ("burst", LossSpec::bursty(0.01, 4.0)),
+        ],
+    ));
     let suite = ExperimentSuite::new("e2e-determinism", 2024, grid, |point| {
-        let mut scenario = Scenario::new(point.scenario_seed())
-            .with_topology(Topology::wide_area(point.loss.clone()))
-            .with_coding(point.coding);
-        for service in &point.mix {
+        let (mix, loss) = &point.payload;
+        let mut scenario =
+            Scenario::new(point.scenario_seed()).with_topology(Topology::wide_area(loss.clone()));
+        for service in mix {
             scenario = scenario.add_flow(
                 *service,
                 Box::new(CbrSource::new(Dur::from_millis(25), 400, 120)),
@@ -215,14 +215,15 @@ fn experiment_suite_is_byte_identical_across_thread_counts() {
 
 /// The stress topology's replay guarantee, end to end: one master seed must
 /// produce the identical `StressReport` with intra-point parallelism off and
-/// on, on both scheduler backends of the reworked engine, and on the
-/// vendored replica of the seed engine.  The digest is pinned as a golden
-/// value — it only uses integer counters (constant delays, integer-permille
-/// Bernoulli loss), so it is stable across platforms; a change here means
-/// the simulation semantics changed, not just the scheduler.
+/// on and on both scheduler backends.  The digest is pinned as a golden
+/// value that is also the output of the pre-rework seed engine (whose
+/// replica was deleted once this pin existed) — it only uses integer
+/// counters (constant delays, integer-permille Bernoulli loss), so it is
+/// stable across platforms; a change here means the simulation semantics
+/// changed, not just the scheduler.
 #[test]
 fn stress_topology_replays_identically_across_engines_and_threads() {
-    const MASTER_SEED: u64 = 0x4A51_6F53_5354_5253; // matches sweep_stress
+    const MASTER_SEED: u64 = 0x4A51_6F53_5354_5253; // matches `jqos sweep --fig stress`
     let calendar = StressConfig::quick();
     let heap = calendar.with_queue(QueueKind::Heap);
 
@@ -236,11 +237,6 @@ fn stress_topology_replays_identically_across_engines_and_threads() {
         serial,
         run_stress(&heap, MASTER_SEED, 1),
         "old (heap) and new (calendar) queues must replay identically"
-    );
-    assert_eq!(
-        serial,
-        run_stress_on_seed_engine(&calendar, MASTER_SEED),
-        "the pre-rework engine must replay identically"
     );
     assert_eq!(serial.digest, 0x95be_bfbf_c42f_73d8, "golden stress digest");
 }
