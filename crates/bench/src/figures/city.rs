@@ -14,7 +14,7 @@
 //! plus the sweep's deterministic digests (asserted identical between the
 //! 1-thread and N-thread executions by the usual baseline replay).
 
-use crate::harness::{run_suite_with_timing, section, sized, write_json, Series, SweepTiming};
+use crate::harness::{run_suite, section, sized, write_json, Series, SweepTiming};
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
 use serde::Serialize;
@@ -136,7 +136,7 @@ pub fn run(threads: usize, baseline: bool) {
         }
         stats
     });
-    let (out, timing) = run_suite_with_timing(&suite, threads, baseline);
+    let (out, timing) = run_suite(&suite, threads, baseline);
 
     // Point order: city axis outermost, seeds innermost.
     let points = out.report.points();

@@ -77,7 +77,7 @@ pub fn run(threads: usize, baseline: bool) {
             .series("sim_caching_frac", flow.recovery_delay_rtt_fractions());
         stats
     });
-    let out = run_suite(&suite, threads, baseline);
+    let (out, _) = run_suite(&suite, threads, baseline);
 
     section("Figure 7(a): end-to-end delivery latency (ms)");
     let fig7a = vec![

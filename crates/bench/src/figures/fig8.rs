@@ -163,7 +163,7 @@ pub fn run(threads: usize, baseline: bool) {
                 report.recovery_delay_rtt_fractions(),
             )
     });
-    let out = run_suite(&suite, threads, baseline);
+    let (out, _) = run_suite(&suite, threads, baseline);
 
     // Re-assemble the per-path rows from the grid: variant `cross2` occupies
     // points `0..n`, `cross1` points `n..2n`, both in path order.

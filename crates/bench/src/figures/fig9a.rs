@@ -132,7 +132,7 @@ pub fn run(threads: usize, baseline: bool) {
         // realisation, as in the paper's side-by-side comparison.
         run_call(label, service, mobile, call_secs, point.paired_seed())
     });
-    let out = run_suite(&suite, threads, baseline);
+    let (out, _) = run_suite(&suite, threads, baseline);
 
     section("Figure 9(a): per-frame PSNR during a call with a 30 s outage");
     let series: Vec<Series> = out

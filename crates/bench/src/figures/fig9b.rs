@@ -139,7 +139,7 @@ pub fn run(threads: usize, baseline: bool) {
             point.paired_seed(),
         )
     });
-    let out = run_suite(&suite, threads, baseline);
+    let (out, _) = run_suite(&suite, threads, baseline);
 
     let points = out.report.points();
     let base_tail = points[0].get_metric("p99_s").unwrap_or(0.0);

@@ -14,7 +14,7 @@
 //! (asserted identical between the 1-thread and N-thread executions by the
 //! usual baseline replay).
 
-use crate::harness::{run_suite_with_timing, section, sized, write_json, Series, SweepTiming};
+use crate::harness::{run_suite, section, sized, write_json, Series, SweepTiming};
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
 use serde::Serialize;
@@ -182,7 +182,7 @@ pub fn run(threads: usize, baseline: bool) {
                     .collect(),
             )
     });
-    let (out, timing) = run_suite_with_timing(&suite, threads, baseline);
+    let (out, timing) = run_suite(&suite, threads, baseline);
 
     // Point order: fleet axis outermost (one loss entry), seeds innermost.
     let points = out.report.points();

@@ -101,7 +101,7 @@ pub fn run(threads: usize, baseline: bool) {
             .metric("recovery_rate", flow.recovery_rate())
             .metric("recovery_p95_ms", delays.quantile(0.95).unwrap_or(0.0))
     });
-    let out = run_suite(&suite, threads, baseline);
+    let (out, _) = run_suite(&suite, threads, baseline);
 
     for (i, (label, _)) in profiles.iter().enumerate() {
         let p = &out.report.points()[i];

@@ -104,7 +104,7 @@ pub fn run(threads: usize, baseline: bool) {
             .metric("recovered", recovered as f64)
             .metric("coded_byte_overhead", report.coding_overhead())
     });
-    let out = run_suite(&suite, threads, baseline);
+    let (out, _) = run_suite(&suite, threads, baseline);
 
     let lost: f64 = out.report.metric_series("lost").iter().sum();
     let recovered: f64 = out.report.metric_series("recovered").iter().sum();

@@ -186,19 +186,10 @@ pub fn write_sweep_timing(timing: &SweepTiming) {
 /// With `baseline` set and more than one worker in use, the sweep is
 /// replayed on a single thread and the two reports are asserted
 /// byte-identical — the deterministic-replay guarantee — with the measured
-/// speedup printed alongside.
-pub fn run_suite<P, R>(suite: &ExperimentSuite<P, R>, threads: usize, baseline: bool) -> SuiteReport
-where
-    P: Clone + Sync,
-    R: Fn(&SweepPoint<P>) -> PointStats + Sync,
-{
-    run_suite_with_timing(suite, threads, baseline).0
-}
-
-/// [`run_suite`], also returning the timing summary it recorded — for suites
-/// that embed the timing (baseline-replay fields included) in a larger
+/// speedup printed alongside.  The timing summary it recorded (baseline
+/// fields included) is returned too, for suites that embed it in a larger
 /// aggregate document instead of keeping the bare timing file.
-pub fn run_suite_with_timing<P, R>(
+pub fn run_suite<P, R>(
     suite: &ExperimentSuite<P, R>,
     threads: usize,
     baseline: bool,

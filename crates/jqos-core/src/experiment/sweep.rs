@@ -130,7 +130,7 @@ impl<P> SweepGrid<P> {
         P: Clone,
     {
         let mut out = Vec::with_capacity(self.len());
-        for (payload_idx, (label, payload)) in self.payloads.iter().enumerate() {
+        for (label, payload) in &self.payloads {
             for (seed_idx, &seed) in self.seeds.iter().enumerate() {
                 out.push(SweepPoint {
                     index: out.len(),
@@ -139,7 +139,6 @@ impl<P> SweepGrid<P> {
                     seed_idx,
                     payload: payload.clone(),
                     payload_label: label.clone(),
-                    payload_idx,
                 });
             }
         }
@@ -162,8 +161,6 @@ pub struct SweepPoint<P = ()> {
     pub payload: P,
     /// Payload-axis label (empty on the unlabelled `()` axis).
     pub payload_label: String,
-    /// Index into the payload axis.
-    pub payload_idx: usize,
 }
 
 impl<P> SweepPoint<P> {
@@ -587,7 +584,7 @@ mod tests {
         assert_eq!(points.len(), 12);
         assert_eq!((points[0].seed, points[1].seed), (1, 2));
         assert_eq!(points[3].payload_label, "a/p5");
-        assert_eq!((points[6].payload, points[6].payload_idx), ((1, 0.01), 2));
+        assert_eq!(points[6].payload, (1, 0.01));
         let mut seeds: Vec<u64> = points.iter().map(|p| p.scenario_seed()).collect();
         seeds.sort_unstable();
         seeds.dedup();

@@ -252,11 +252,11 @@ impl FleetScenario {
 
         // Control plane: the controller takes over the populated registry;
         // each DC gets a heartbeat agent phased a little apart.
-        let (dc1, dc2_ids) = (world.dc1, world.dc2s.clone());
+        let dc1 = world.dc1;
         let check_period = (self.heartbeat.interval / 2).max(Dur::from_millis(1));
         let controller = world.sim.add_node(FleetControllerNode::new(
             registry,
-            dc2_ids.clone(),
+            world.dc2s.clone(),
             dc1,
             endpoints,
             check_period,
@@ -279,8 +279,10 @@ impl FleetScenario {
         world.sim.add_link(controller, dc1, control.clone());
         for (i, spec) in self.dcs.iter().enumerate() {
             let inter_dc = LinkSpec::symmetric(spec.inter_dc_latency);
-            world.sim.add_link(dc1, dc2_ids[i], inter_dc);
-            world.sim.add_link(controller, dc2_ids[i], control.clone());
+            world.sim.add_link(dc1, world.dc2s[i], inter_dc);
+            world
+                .sim
+                .add_link(controller, world.dc2s[i], control.clone());
             world
                 .sim
                 .add_link(controller, agent_ids[i], control.clone());
@@ -301,7 +303,7 @@ impl FleetScenario {
         // Inject the crash schedule: a DC and its heartbeat agent go down
         // together, so the data plane and the health signal fail as one.
         for &(at, dc) in self.failures.events() {
-            world.sim.schedule_down(dc2_ids[dc.0 as usize], at);
+            world.sim.schedule_down(world.dc2s[dc.0 as usize], at);
             world.sim.schedule_down(agent_ids[dc.0 as usize], at);
         }
 
