@@ -142,7 +142,11 @@ pub struct Dc2Node {
     pending: HashMap<u64, PendingRecovery>,
     pending_by_batch: HashMap<BatchId, Vec<u64>>,
     pending_by_target: HashMap<(FlowId, SeqNo), u64>,
-    waiting: HashMap<u64, WaitingNack>,
+    /// Parked NACKs by waiting id.  Ids are allocated in arrival order and
+    /// this map is *iterated* (to promote the NACKs a coded packet covers),
+    /// so it is ordered: hash order differs per process and would start two
+    /// recoveries released by one batch in a non-replayable order.
+    waiting: BTreeMap<u64, WaitingNack>,
     waiting_by_target: HashMap<(FlowId, SeqNo), u64>,
     next_id: u64,
     stats: Dc2Stats,
@@ -161,7 +165,7 @@ impl Dc2Node {
             pending: HashMap::new(),
             pending_by_batch: HashMap::new(),
             pending_by_target: HashMap::new(),
-            waiting: HashMap::new(),
+            waiting: BTreeMap::new(),
             waiting_by_target: HashMap::new(),
             next_id: 0,
             stats: Dc2Stats::default(),
@@ -256,7 +260,8 @@ impl Dc2Node {
         self.coded_arrival.entry(batch).or_insert(now);
         self.coded.entry(batch).or_default().push(coded);
 
-        // Any parked NACK covered by this batch can now start recovery.
+        // Any parked NACK covered by this batch can now start recovery, in
+        // ascending waiting id — the order the NACKs arrived in.
         let covered: Vec<u64> = self
             .waiting
             .iter()
@@ -280,6 +285,10 @@ impl Dc2Node {
 
     fn expire_coded(&mut self, now: Time) {
         let ttl = self.config.coded_ttl;
+        // Hash order is harmless here: expiry only removes entries (a batch
+        // from the stores, its id from each coverage list, which keeps its
+        // relative order), so every visiting order leaves the same state and
+        // nothing is sent or scheduled.
         let expired: Vec<BatchId> = self
             .coded_arrival
             .iter()
@@ -921,6 +930,70 @@ mod tests {
             .received
             .iter()
             .any(|m| matches!(m, Msg::NackCheck { .. })));
+    }
+
+    #[test]
+    fn parked_nacks_released_by_one_batch_start_recovery_in_arrival_order() {
+        let mut sim = Simulator::new(11);
+        // One receiver terminates six coding flows, loses one packet of each
+        // and NACKs them in this (deliberately unsorted) flow order, all
+        // before the batch's coded packet reaches DC2.
+        let arrival_order = [4u32, 1, 6, 2, 5, 3];
+        let mut receiver = Peer::new(DC2_PLACEHOLDER);
+        receiver.answer_coop = false;
+        for (i, &flow) in arrival_order.iter().enumerate() {
+            receiver.script.push((
+                Dur::from_millis(10 + 2 * i as u64),
+                DC2_PLACEHOLDER,
+                Msg::Nack {
+                    flow: FlowId(flow),
+                    seq: 7,
+                    reason: NackReason::ShortTimeout,
+                },
+            ));
+        }
+        let receiver_id = sim.add_node(receiver);
+
+        let mut dc2 = Dc2Node::new(Dc2Config::default());
+        for flow in 1..=6 {
+            dc2.register_flow(FlowId(flow), ServiceKind::Coding, receiver_id);
+        }
+        let dc2_id = sim.add_node(dc2);
+        sim.node_as::<Peer>(receiver_id).dc2 = dc2_id;
+        sim.add_link(
+            receiver_id,
+            dc2_id,
+            LinkSpec::symmetric(Dur::from_millis(5)),
+        );
+
+        let members: Vec<(DataPacket, NodeId)> = (1..=6)
+            .map(|flow| (pkt(flow, 7, flow as u8), receiver_id))
+            .collect();
+        let coded = make_coded(&members, 1);
+        let mut dc1 = Peer::new(dc2_id);
+        dc1.script
+            .push((Dur::from_millis(60), dc2_id, Msg::Coded(coded[0].clone())));
+        let dc1_id = sim.add_node(dc1);
+        sim.add_link(dc1_id, dc2_id, LinkSpec::symmetric(Dur::from_millis(5)));
+
+        sim.run_for(Dur::from_millis(200));
+        let stats = sim.node_as::<Dc2Node>(dc2_id).stats();
+        assert_eq!(stats.nacks_waiting, 6);
+        assert_eq!(stats.waiting_promoted, 6, "{stats:?}");
+        // A recovery asks for every member but the one it is rebuilding, so
+        // the flow missing from a request names the NACK it belongs to.
+        let request_order: Vec<u32> = sim
+            .node_as::<Peer>(receiver_id)
+            .received
+            .iter()
+            .filter_map(|m| match m {
+                Msg::CoopRequest { needed, .. } => {
+                    (1..=6).find(|flow| needed.iter().all(|(f, _)| f.0 != *flow))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(request_order, arrival_order);
     }
 
     #[test]
