@@ -13,7 +13,7 @@
 //! suite whose point metrics (packets per second) are wall-clock derived and
 //! therefore not byte-reproducible.
 
-use crate::harness::{section, sized, sweep_timing, write_json, write_sweep_timing};
+use crate::harness::{environment, section, sized, write_json, Environment};
 use jqos_core::coding::engine::{EncodingEngine, EngineConfig};
 use jqos_core::{ExperimentSuite, SweepGrid};
 use netsim::stats::PointStats;
@@ -25,6 +25,14 @@ struct ScalingPoint {
     ingress_kpps: f64,
     egress_kpps: f64,
     speedup_vs_one_thread: f64,
+}
+
+/// The `fig10_encoding_scaling.json` document.  Its data *is* timing, so it
+/// says which machine (and how many cores) drew it.
+#[derive(Serialize)]
+struct ScalingReport {
+    environment: Environment,
+    points: Vec<ScalingPoint>,
 }
 
 /// Runs the Figure 10 suite, always on one sweep worker (see module docs).
@@ -102,6 +110,11 @@ pub fn run() {
     println!("  -> at 1.5 Mbps / 512 B packets, one thread sustains ~{calls_per_thread:.0} concurrent calls (paper: ~150)");
 
     out.print_timing_summary();
-    write_sweep_timing(&sweep_timing(&out));
-    write_json("fig10_encoding_scaling", &points);
+    write_json(
+        "fig10_encoding_scaling",
+        &ScalingReport {
+            environment: environment(),
+            points,
+        },
+    );
 }

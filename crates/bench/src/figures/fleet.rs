@@ -269,8 +269,6 @@ pub fn run(threads: usize, baseline: bool) {
         total_dropped
     );
 
-    // Overwrite the bare timing file run_suite wrote with the full document
-    // (timing embedded), keeping the one-file-per-sweep convention.
     write_json(
         "BENCH_sweep_fleet",
         &FleetSweepDoc {

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use crate::harness::{quick_mode, section, write_json};
+use crate::harness::{environment, quick_mode, section, write_json, Environment};
 use crate::stress::{run_stress, StressConfig, StressReport};
 use netsim::prelude::QueueKind;
 use serde::Serialize;
@@ -65,6 +65,8 @@ struct EngineTiming {
 
 #[derive(Serialize)]
 struct Report {
+    /// The machine the wall-clocks below were taken on.
+    environment: Environment,
     quick_mode: bool,
     /// Master seed, hex (a string: the vendored serde_json narrows big
     /// integers through f64).
@@ -174,6 +176,7 @@ pub fn run() {
     write_json(
         "BENCH_sweep_stress",
         &Report {
+            environment: environment(),
             quick_mode: quick_mode(),
             master_seed: format!("{MASTER_SEED:#018x}"),
             topology: TopologyInfo {

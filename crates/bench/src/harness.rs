@@ -34,33 +34,91 @@ pub fn sized(full: usize, quick: usize) -> usize {
     }
 }
 
-/// Where `BENCH_*.json` aggregates are published for version control:
-/// `JQOS_BENCH_ROOT` if set, otherwise the repository root (the figures
-/// directory under `target/` is gitignored, so without this copy the bench
-/// history would never land in the repo).
-pub fn bench_root() -> PathBuf {
-    let dir = PathBuf::from(
-        std::env::var("JQOS_BENCH_ROOT")
-            .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").into()),
-    );
-    fs::create_dir_all(&dir).expect("create bench root dir");
-    dir
-}
-
-/// Writes a JSON document describing one figure's data series.
-///
-/// Documents whose name starts with `BENCH_` are benchmark aggregates and
-/// are additionally published to [`bench_root`] so each bench run refreshes
-/// the committed perf trajectory.
+/// Writes a JSON document describing one figure's data series under
+/// [`figures_dir`].
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let path = figures_dir().join(format!("{name}.json"));
     let body = serde_json::to_string_pretty(value).expect("serialise figure data");
     fs::write(&path, &body).expect("write figure data");
     println!("  [data written to {}]", path.display());
-    if name.starts_with("BENCH_") {
-        let published = bench_root().join(format!("{name}.json"));
-        fs::write(&published, &body).expect("publish bench data");
-        println!("  [bench aggregate published to {}]", published.display());
+}
+
+/// The machine and build that produced a document, so a wall-clock in it can
+/// be read.  Same field names as the benchmark's environment stamp
+/// (`benchmark/src/procfs.rs`), plus `quick_mode`; a field that cannot be
+/// read says `unknown`.
+#[derive(Serialize)]
+pub struct Environment {
+    /// Cores available to this process.
+    pub nproc: usize,
+    /// `model name` of the first CPU in `/proc/cpuinfo`.
+    pub cpu_model: String,
+    /// The SIMD feature flags the coding kernel dispatches on.
+    pub cpu_flags: String,
+    /// Kernel release.
+    pub kernel: String,
+    /// `rustc -V`.
+    pub rustc: String,
+    /// Short hash of the checked-out commit.
+    pub git_rev: String,
+    /// Whether `JQOS_QUICK` shrank the run.
+    pub quick_mode: bool,
+}
+
+/// First `key : value` of `/proc/cpuinfo`-style text.
+fn cpuinfo_field(cpuinfo: &str, key: &str) -> Option<String> {
+    cpuinfo.lines().find_map(|l| {
+        let (k, v) = l.split_once(':')?;
+        (k.trim() == key).then(|| v.trim().to_string())
+    })
+}
+
+/// The SIMD-relevant subset of a `/proc/cpuinfo` flags line (the full list is
+/// hundreds of entries).
+fn simd_flags(flags: &str) -> String {
+    const SIMD: [&str; 10] = [
+        "sse2",
+        "ssse3",
+        "sse4_1",
+        "sse4_2",
+        "avx",
+        "avx2",
+        "avx512f",
+        "avx512bw",
+        "gfni",
+        "pclmulqdq",
+    ];
+    flags
+        .split_whitespace()
+        .filter(|f| SIMD.contains(f))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+fn command_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program)
+        .args(args)
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// Probes the machine for the [`Environment`] stamp.
+pub fn environment() -> Environment {
+    let unknown = || "unknown".to_string();
+    let cpuinfo = fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    Environment {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cpu_model: cpuinfo_field(&cpuinfo, "model name").unwrap_or_else(unknown),
+        cpu_flags: cpuinfo_field(&cpuinfo, "flags").map_or_else(unknown, |f| simd_flags(&f)),
+        kernel: fs::read_to_string("/proc/sys/kernel/osrelease")
+            .map_or_else(|_| unknown(), |s| s.trim().to_string()),
+        rustc: command_line("rustc", &["-V"]).unwrap_or_else(unknown),
+        git_rev: command_line("git", &["rev-parse", "--short", "HEAD"]).unwrap_or_else(unknown),
+        quick_mode: quick_mode(),
     }
 }
 
@@ -115,7 +173,7 @@ pub fn section(title: &str) {
     println!("=== {title} ===");
 }
 
-/// Wall-clock of one sweep point, as serialised into `BENCH_sweep_*.json`.
+/// Wall-clock of one sweep point, as serialised into a [`SweepTiming`].
 #[derive(Serialize)]
 pub struct PointTiming {
     /// The point's grid label.
@@ -124,11 +182,13 @@ pub struct PointTiming {
     pub wall_ms: f64,
 }
 
-/// Timing summary of one [`ExperimentSuite`] execution, written to
-/// `BENCH_sweep_<suite>.json` so sweep speedups are tracked alongside the
-/// figure data.
+/// Timing summary of one [`ExperimentSuite`] execution: what the figure
+/// cost to draw on the stamped machine, not a speed measurement of the
+/// program (those come from `benchmark/`).
 #[derive(Serialize)]
 pub struct SweepTiming {
+    /// The machine the wall-clocks below were taken on.
+    pub environment: Environment,
     /// Suite name.
     pub suite: String,
     /// Worker threads used.
@@ -152,8 +212,9 @@ pub struct SweepTiming {
 }
 
 /// Builds the serialisable timing summary of a finished sweep.
-pub fn sweep_timing(out: &SuiteReport) -> SweepTiming {
+fn sweep_timing(out: &SuiteReport) -> SweepTiming {
     SweepTiming {
+        environment: environment(),
         suite: out.name.clone(),
         threads: out.threads,
         points: out.point_wall_ms.len(),
@@ -175,20 +236,15 @@ pub fn sweep_timing(out: &SuiteReport) -> SweepTiming {
     }
 }
 
-/// Writes a sweep's timing summary as `BENCH_sweep_<suite>.json`.
-pub fn write_sweep_timing(timing: &SweepTiming) {
-    write_json(&format!("BENCH_sweep_{}", timing.suite), timing);
-}
-
-/// Executes a suite on `threads` workers, prints its per-point / aggregate
-/// wall-clock summary and records `BENCH_sweep_<suite>.json`.
+/// Executes a suite on `threads` workers and prints its per-point /
+/// aggregate wall-clock summary.
 ///
 /// With `baseline` set and more than one worker in use, the sweep is
 /// replayed on a single thread and the two reports are asserted
 /// byte-identical — the deterministic-replay guarantee — with the measured
-/// speedup printed alongside.  The timing summary it recorded (baseline
-/// fields included) is returned too, for suites that embed it in a larger
-/// aggregate document instead of keeping the bare timing file.
+/// speedup printed alongside.  The timing summary (baseline fields
+/// included) is returned too, for suites that embed it in their figure
+/// document; no timing-only file is written.
 pub fn run_suite<P, R>(
     suite: &ExperimentSuite<P, R>,
     threads: usize,
@@ -228,7 +284,6 @@ where
             out.threads
         );
     }
-    write_sweep_timing(&timing);
     (out, timing)
 }
 
@@ -251,5 +306,21 @@ mod tests {
         // two configured values.
         let v = sized(1000, 10);
         assert!(v == 1000 || v == 10);
+    }
+
+    #[test]
+    fn cpuinfo_fields_parse_from_literal_text() {
+        let text = "processor\t: 0\nmodel name\t: Test CPU @ 2GHz\n\
+                    flags\t\t: fpu sse2 ht ssse3 avx2 rdrand\n\
+                    processor\t: 1\nmodel name\t: Other\n";
+        assert_eq!(
+            cpuinfo_field(text, "model name").as_deref(),
+            Some("Test CPU @ 2GHz"),
+            "the first match wins"
+        );
+        let flags = cpuinfo_field(text, "flags").expect("flags line");
+        assert_eq!(simd_flags(&flags), "sse2 ssse3 avx2");
+        assert_eq!(cpuinfo_field(text, "bogomips"), None);
+        assert_eq!(cpuinfo_field("no colon here", "model name"), None);
     }
 }

@@ -1,4 +1,4 @@
-//! # jqos-bench — the benchmark harness that regenerates the paper's figures
+//! # jqos-bench — the suites that regenerate the paper's figures
 //!
 //! One suite per figure / table of the evaluation (§6), run through the
 //! umbrella CLI as `jqos sweep --fig <id>`:
@@ -17,17 +17,17 @@
 //! | `stress` | Scheduler stress: heap backend vs calendar queue events/sec         |
 //!
 //! Every suite prints the series it produces and also dumps them as JSON
-//! under `target/figures/`.  Criterion benches (`encoding_scaling`,
-//! `services_micro`, `ablations`) cover the performance-oriented
-//! measurements, and [`netload`] (`jqos loadgen`) drives the live relay.
+//! under `target/figures/` — and nowhere else.  Speed numbers (relay cost and
+//! latency, simulator events/s, encoder rate) are the business of the
+//! standalone benchmark in `benchmark/`, not of this crate.
 //!
 //! Each figure is defined as an [`jqos_core::ExperimentSuite`] in
 //! [`figures`]: a declarative grid of scenario points executed across worker
 //! threads with deterministic per-point seeding, so an `N`-thread sweep is
-//! byte-identical to a 1-thread replay.  Per-sweep wall-clock timing lands in
-//! `target/figures/BENCH_sweep_*.json`.
+//! byte-identical to a 1-thread replay.  Per-sweep wall-clock timing is
+//! printed, and embedded — with the machine that took it — in the `fleet`,
+//! `city` and `stress` documents.
 
 pub mod figures;
 pub mod harness;
-pub mod netload;
 pub mod stress;

@@ -276,9 +276,8 @@ mod simd {
 }
 
 /// The original byte-at-a-time exp/log implementation of the slice
-/// operations, kept as the reference the fast kernels are tested against and
-/// as the *scalar baseline* of the encode-throughput benchmarks
-/// (`BENCH_encode_throughput.json`).
+/// operations, kept as the reference the fast kernels are tested against
+/// (here, and by the benchmark's scalar-oracle gate).
 pub mod scalar {
     use super::tables;
 

@@ -202,7 +202,7 @@ mod tests {
         .run(60_000);
         // Debug/test builds and shared CI machines add enough noise that a
         // strict speed-up assertion would be flaky; the real scaling curve is
-        // measured by the release-mode Criterion bench (Figure 10).
+        // measured by the benchmark's `encoder-fig10` workload.
         assert!(
             dual.ingress_pps() > single.ingress_pps() * 0.8,
             "1 thread: {:.0} pps, 2 threads: {:.0} pps",

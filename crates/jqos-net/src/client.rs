@@ -1,19 +1,17 @@
 //! Multiplexed load-generation endpoints.
 //!
 //! A [`LoadWorker`] drives *many* flows over a single non-blocking UDP
-//! socket — the loopback harness runs thousands of concurrent flows as a
-//! handful of workers with a few hundred flows each, rather than a thousand
-//! tasks.  Each worker plays both roles of the paper's topology for its
+//! socket — hundreds of concurrent flows on one thread, rather than a task
+//! per flow.  Each worker plays both roles of the paper's topology for its
 //! flows: it is the sender (packets go to the relay shard, and — for the
 //! caching/coding services — a "direct Internet path" copy goes to the
-//! worker's own socket) and the receiver (gap detection, NACKs, recovery,
-//! and latency accounting on arrival).
+//! worker's own socket) and the receiver (gap detection, NACKs, recovery).
+//! It checks that the relay *works*; how fast the relay is, is measured by
+//! the `relay-*` workloads of `benchmark/`.
 //!
 //! Loss on the direct path is injected deterministically ([`FlowSpec::
 //! drop_every`]): the direct copy of every n-th packet is simply not sent,
-//! so the relay path must recover it.  Every data payload embeds its send
-//! timestamp, so delivery latency is measured end-to-end per packet —
-//! including NACK round trips and parity reconstruction for recovered ones.
+//! so the relay path must recover it.
 //!
 //! Recovery per service mirrors the simulator:
 //! * **forwarding** — no direct copies at all; the relay forwards
@@ -174,17 +172,16 @@ pub struct LoadWorker {
     socket: std::net::UdpSocket,
     self_addr: SocketAddr,
     control: SocketAddr,
-    epoch: Instant,
-    payload_len: usize,
     flows: Vec<ClientFlow>,
     by_id: HashMap<u32, usize>,
     codec: BatchCodec,
-    latencies: Vec<(ServiceKind, u64)>,
     nacks_sent: u64,
     malformed_rx: u64,
     send_backpressure: u64,
     buf: Vec<u8>,
     scratch: Vec<u8>,
+    /// The fixed data payload; lent to each outgoing [`WireMsg::Data`] and
+    /// taken back once it is encoded.
     payload: Vec<u8>,
     /// How long to wait before re-NACKing an outstanding hole.
     pub nack_retry: Duration,
@@ -193,12 +190,9 @@ pub struct LoadWorker {
 }
 
 impl LoadWorker {
-    /// Binds a worker on an ephemeral loopback port.  `epoch` must be
-    /// shared by all workers of a run (latency timestamps are relative to
-    /// it); `payload_len` is the fixed data-payload size (≥ 8 bytes for the
-    /// embedded timestamp).
-    pub fn new(control: SocketAddr, epoch: Instant, payload_len: usize) -> io::Result<Self> {
-        assert!(payload_len >= 8, "payload must hold an 8-byte timestamp");
+    /// Binds a worker on an ephemeral loopback port.  `payload_len` is the
+    /// fixed data-payload size.
+    pub fn new(control: SocketAddr, payload_len: usize) -> io::Result<Self> {
         let socket = std::net::UdpSocket::bind("127.0.0.1:0")?;
         socket.set_nonblocking(true)?;
         let self_addr = socket.local_addr()?;
@@ -206,18 +200,15 @@ impl LoadWorker {
             socket,
             self_addr,
             control,
-            epoch,
-            payload_len,
             flows: Vec::new(),
             by_id: HashMap::new(),
             codec: BatchCodec::new(),
-            latencies: Vec::new(),
             nacks_sent: 0,
             malformed_rx: 0,
             send_backpressure: 0,
             buf: vec![0u8; 65_536],
             scratch: Vec::with_capacity(2048),
-            payload: Vec::new(),
+            payload: vec![0x5A; payload_len],
             nack_retry: Duration::from_millis(40),
             nack_max: 6,
         })
@@ -341,11 +332,9 @@ impl LoadWorker {
         }
         'outer: loop {
             for &i in &admitted {
-                let ts = self.now_ns();
                 let f = &mut self.flows[i];
                 let seq = f.next_seq;
                 f.next_seq += 1;
-                Self::fill_payload(&mut self.payload, self.payload_len, ts);
                 let msg = WireMsg::Data {
                     flow: f.spec.flow,
                     seq,
@@ -452,27 +441,10 @@ impl LoadWorker {
         self.flows.iter().map(|f| f.spec.flow).collect()
     }
 
-    /// Takes the accumulated `(service, latency_ns)` delivery samples.
-    pub fn take_latencies(&mut self) -> Vec<(ServiceKind, u64)> {
-        std::mem::take(&mut self.latencies)
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn fill_payload(payload: &mut Vec<u8>, len: usize, ts: u64) {
-        payload.clear();
-        payload.resize(len, 0x5A);
-        payload[..8].copy_from_slice(&ts.to_be_bytes());
-    }
-
     /// Sends one paced packet for flow index `i`: the relay copy always,
     /// the direct (own-socket) copy unless this packet's direct loss is
     /// injected.  Forwarding flows send the relay copy only.
     fn send_flow_packet(&mut self, i: usize, is_last: bool) -> io::Result<()> {
-        let ts = self.now_ns();
-        Self::fill_payload(&mut self.payload, self.payload_len, ts);
         let f = &mut self.flows[i];
         let service = f.service.expect("send on admitted flow");
         let seq = f.next_seq;
@@ -560,7 +532,6 @@ impl LoadWorker {
     /// A data packet arrived (direct copy, relay forward, or cache
     /// recovery).
     fn on_delivery(&mut self, flow: u32, seq: u64, payload: Vec<u8>) {
-        let now = self.now_ns();
         let Some(&i) = self.by_id.get(&flow) else {
             return;
         };
@@ -575,12 +546,6 @@ impl LoadWorker {
             f.holes.remove(&seq);
             f.recovered += 1;
         }
-        let service = f.service.unwrap_or(ServiceKind::InternetOnly);
-        if payload.len() >= 8 {
-            let ts = u64::from_be_bytes(payload[..8].try_into().unwrap());
-            self.latencies.push((service, now.saturating_sub(ts)));
-        }
-        let f = &mut self.flows[i];
         // Coding flows keep recent payloads so parity can reconstruct their
         // batch-mates.
         if f.service == Some(ServiceKind::Coding) && f.coding_k > 0 {
@@ -705,7 +670,6 @@ impl LoadWorker {
 
     /// Decodes the batch at `base` if it has holes and enough shards.
     fn try_reconstruct(&mut self, i: usize, base: u64) {
-        let now = self.now_ns();
         let f = &mut self.flows[i];
         if f.service != Some(ServiceKind::Coding) || f.coding_k == 0 {
             return;
@@ -752,11 +716,6 @@ impl LoadWorker {
             f.holes.remove(&seq);
             f.delivered += 1;
             f.reconstructed += 1;
-            if payload.len() >= 8 {
-                let ts = u64::from_be_bytes(payload[..8].try_into().unwrap());
-                self.latencies
-                    .push((ServiceKind::Coding, now.saturating_sub(ts)));
-            }
             // Keep the reconstructed payload for later holes in this batch.
             if let Some((_, buf)) = f.batches.iter_mut().find(|(b, _)| *b == base) {
                 if let Some(slot) = buf.data.get_mut(idx) {

@@ -20,7 +20,7 @@
 //!   per-flow service assignments);
 //! * [`client`] — [`LoadWorker`], a multiplexed load-generation endpoint
 //!   that drives hundreds of flows per socket with loss injection, NACK
-//!   recovery, parity reconstruction, and per-packet latency sampling.
+//!   recovery and parity reconstruction.
 //!
 //! Everything is bounded: ingress queues shed (and count) when full, cache
 //! and parity rings evict, the rejection history is capped.  Nothing on the

@@ -1,8 +1,8 @@
 //! Relay observability: per-shard counters and whole-relay snapshots.
 //!
-//! Every number the load harness publishes into `BENCH_net_loadgen.json`
-//! comes from here, so each counter is documented with the event that bumps
-//! it.  Shard counters are plain atomics updated by the owning shard task
+//! The loopback tests and the benchmark's `relay-*` workloads (`benchmark/`)
+//! read the relay through these, so each counter is documented with the
+//! event that bumps it.  Shard counters are plain atomics updated by the owning shard task
 //! (and read by anyone), which keeps the hot path free of locks for
 //! accounting.
 

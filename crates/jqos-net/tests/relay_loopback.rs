@@ -5,7 +5,7 @@
 //! of the link: the client's per-flow delivery stats and the relay's
 //! [`RelayMetrics`] snapshot must tell the same story.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use jqos_core::select::{Registration, ServiceKind, ServiceSelector};
 use jqos_net::{shard_for, FlowSpec, LoadWorker, RejectReason, Relay, RelayConfig};
@@ -18,12 +18,7 @@ async fn start_relay(cfg: RelayConfig) -> Relay {
 }
 
 fn worker_for(relay: &Relay) -> LoadWorker {
-    LoadWorker::new(
-        relay.control_addr().expect("control addr"),
-        Instant::now(),
-        64,
-    )
-    .expect("bind worker")
+    LoadWorker::new(relay.control_addr().expect("control addr"), 64).expect("bind worker")
 }
 
 fn spec(flow: u32, budget_ms: u32, drop_every: Option<u32>) -> FlowSpec {
@@ -259,4 +254,72 @@ async fn shutdown_drains_accepted_datagrams() {
     let totals = relay.shutdown().await.totals();
     assert_eq!(totals.data_rx, 200, "drain must process every datagram");
     assert_eq!(totals.shed_total(), 0);
+}
+
+/// A mixed-service population sharing shards: coding, caching and
+/// forwarding flows interleaved over the id space, plus a tail of
+/// infeasible budgets, all on one worker.  Admission
+/// counts agree on both sides of the wire, every admitted flow is delivered
+/// in full, and each recoverable flow actually exercised its recovery path.
+#[tokio::test]
+async fn mixed_services_share_shards_without_loss() {
+    const ADMISSIBLE: u32 = 96;
+    const INFEASIBLE: u32 = 8;
+    const PACKETS: u32 = 16; // two full coding batches at k=8
+                             // (service the budget selects, budget ms, direct-path drop period)
+    const MIX: [(ServiceKind, u32, Option<u32>); 3] = [
+        (ServiceKind::Coding, 150, Some(8)),
+        (ServiceKind::Caching, 100, Some(6)),
+        (ServiceKind::Forwarding, 91, None),
+    ];
+    let cfg = RelayConfig {
+        shards: 2,
+        ..RelayConfig::default()
+    };
+    let queue_capacity = cfg.queue_capacity as u64;
+    let mut relay = start_relay(cfg).await;
+    let mut worker = worker_for(&relay);
+    for flow in 0..ADMISSIBLE {
+        let (_, budget_ms, drop_every) = MIX[flow as usize % MIX.len()];
+        worker.add_flow(spec(flow, budget_ms, drop_every));
+    }
+    for flow in ADMISSIBLE..ADMISSIBLE + INFEASIBLE {
+        worker.add_flow(spec(flow, 60, None));
+    }
+    worker.register(Duration::from_secs(10)).expect("register");
+    let stats = worker.stats();
+    assert_eq!(stats.admitted, u64::from(ADMISSIBLE));
+    assert_eq!(stats.rejected, u64::from(INFEASIBLE));
+
+    worker
+        .run_paced(
+            PACKETS,
+            Duration::from_millis(20),
+            Duration::from_millis(900),
+        )
+        .expect("paced run");
+
+    for flow in 0..ADMISSIBLE {
+        let view = worker.flow_view(flow).expect("flow view");
+        let (expect, ..) = MIX[flow as usize % MIX.len()];
+        assert_eq!(view.service, Some(expect), "{view:?}");
+        assert_eq!(view.sent, u64::from(PACKETS), "{view:?}");
+        assert_eq!(view.delivered, view.sent, "{view:?}");
+        assert_eq!(view.holes, 0, "{view:?}");
+        match expect {
+            ServiceKind::Coding => assert!(view.reconstructed > 0, "{view:?}"),
+            ServiceKind::Caching => assert!(view.recovered > 0, "{view:?}"),
+            _ => {}
+        }
+    }
+
+    let metrics = relay.shutdown().await;
+    assert_eq!(metrics.admitted, u64::from(ADMISSIBLE));
+    assert_eq!(metrics.rejected_budget, u64::from(INFEASIBLE));
+    assert_eq!(metrics.rejected_shard_full, 0);
+    assert_eq!(metrics.shards.len(), 2);
+    for shard in &metrics.shards {
+        assert!(shard.data_rx > 0, "idle shard: {shard:?}");
+    }
+    assert!(metrics.totals().queue_highwater <= queue_capacity);
 }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example live_relay`
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use jqos::net::{FlowSpec, LoadWorker, Relay, RelayConfig};
 
@@ -22,7 +22,7 @@ async fn main() -> std::io::Result<()> {
     println!("relay control socket on {control}");
     println!("shard dataplane sockets: {:?}", relay.shard_addrs());
 
-    let mut worker = LoadWorker::new(control, Instant::now(), 64)?;
+    let mut worker = LoadWorker::new(control, 64)?;
     // (flow, budget ms, direct-path drop period): budgets steer admission.
     for (flow, budget_ms, drop_every) in [
         (1u32, 150u32, Some(8)), // coding

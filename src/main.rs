@@ -7,12 +7,8 @@
 //!   wall-clock, the FNV-1a of the deterministic report, and (unless
 //!   `--no-baseline`) a 1-thread replay whose report is asserted
 //!   byte-identical to the parallel run.
-//! * `jqos loadgen [--flows N] [--shards a,b,c] [--workers W] [--blast-ms T]`
-//!   — drives the live sharded relay with thousands of loopback flows and
-//!   writes `BENCH_net_loadgen.json`.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn print_help() {
     println!("J-QoS: Judicious QoS using Cloud Overlays — Rust reproduction");
@@ -21,7 +17,6 @@ fn print_help() {
     println!("  jqos                     this overview");
     println!("  jqos sweep --fig <id> [--threads N] [--no-baseline]");
     println!("  jqos sweep --list");
-    println!("  jqos loadgen [--flows N] [--shards a,b,c] [--workers W] [--blast-ms T]");
     println!();
     println!("Examples (cargo run --example <name>):");
     println!("  quickstart        compare Internet / caching / coding on a lossy WAN path");
@@ -37,7 +32,8 @@ fn print_help() {
         jqos_bench::figures::FIGURE_IDS.join(" | ")
     );
     println!();
-    println!("Criterion benches: cargo bench -p jqos-bench");
+    println!("Speed numbers come from the benchmark, not from figure wall-clocks:");
+    println!("  see benchmark/README.md");
 }
 
 fn sweep(args: &[String]) -> ExitCode {
@@ -93,57 +89,6 @@ fn sweep(args: &[String]) -> ExitCode {
     }
 }
 
-fn loadgen(args: &[String]) -> ExitCode {
-    let mut cfg = jqos_bench::netload::NetloadConfig::from_env();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--flows" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => cfg.flows = n,
-                _ => {
-                    eprintln!("error: --flows requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workers" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => cfg.workers = n,
-                _ => {
-                    eprintln!("error: --workers requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shards" => {
-                let parsed: Option<Vec<usize>> = iter
-                    .next()
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(counts) if !counts.is_empty() && counts.iter().all(|&c| c >= 1) => {
-                        cfg.shard_counts = counts;
-                    }
-                    _ => {
-                        eprintln!("error: --shards requires a comma list like 1,2,4");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--blast-ms" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) if ms >= 1 => cfg.blast = Duration::from_millis(ms),
-                _ => {
-                    eprintln!("error: --blast-ms requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("error: unknown loadgen argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    jqos_bench::netload::run_with(cfg);
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -152,7 +97,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("sweep") => sweep(&args[1..]),
-        Some("loadgen") => loadgen(&args[1..]),
         Some(other) => {
             eprintln!("error: unknown subcommand '{other}'");
             print_help();
