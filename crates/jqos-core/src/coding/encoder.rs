@@ -11,9 +11,10 @@ use netsim::Time;
 
 use erasure::packets::{shard_len_for, BatchCodec};
 use erasure::rs::RsError;
+use erasure::shards::ShardArena;
 
 use crate::coding::params::CodingParams;
-use crate::coding::queues::ReadyBatch;
+use crate::coding::queues::{QueuedPacket, ReadyBatch};
 use crate::packet::{BatchId, BatchMember, CodedPacket, CodingKind, DataPacket, FlowId, SeqNo};
 
 /// Counters for the encoder.
@@ -43,13 +44,14 @@ impl EncoderStats {
 /// The batch encoder living at DC1.
 ///
 /// Holds a [`BatchCodec`] so that codec matrices are built once per batch
-/// shape and shard storage is recycled across the coding queue's flushes;
-/// the emitted [`CodedPacket`] shards are zero-copy views of the codec's
-/// slab.
+/// shape, and codes every batch inside one recycled [`ShardArena`] slab;
+/// the emitted [`CodedPacket`] shards are views of one buffer per batch
+/// that holds the parity and nothing else.
 #[derive(Clone, Debug)]
 pub struct BatchEncoder {
     params: CodingParams,
     codec: BatchCodec,
+    arena: ShardArena,
     next_batch: u64,
     stats: EncoderStats,
 }
@@ -60,6 +62,7 @@ impl BatchEncoder {
         BatchEncoder {
             params,
             codec: BatchCodec::new(),
+            arena: ShardArena::new(),
             next_batch: 0,
             stats: EncoderStats::default(),
         }
@@ -86,15 +89,24 @@ impl BatchEncoder {
             return vec![];
         }
 
-        let payloads: Vec<&[u8]> = batch
-            .packets
-            .iter()
-            .map(|p| p.packet.payload.as_ref())
-            .collect();
-        let coded = match self.codec.encode_batch(&payloads, parity_count) {
-            Ok(c) => c,
-            Err(_) => return vec![],
+        let k = batch.packets.len();
+        let payload_len = |p: &QueuedPacket| p.packet.payload.len();
+        let shard_len = 2 + batch.packets.iter().map(payload_len).max().unwrap_or(0);
+        let Ok(rs) = self.codec.codec(k, parity_count) else {
+            return vec![];
         };
+        // DC2 holds the parity for seconds, so it leaves in a buffer of its
+        // own; the slab with the padded data beside it is reused at once.
+        let mut set = self.arena.lease(k, parity_count, shard_len);
+        for (i, p) in batch.packets.iter().enumerate() {
+            pad_into(set.data_mut(i), &p.packet.payload);
+        }
+        let coded = rs.encode_into(&mut set);
+        let parity = Bytes::from_owner((&*set.split_data_parity().1).into());
+        self.arena.reclaim(set);
+        if coded.is_err() {
+            return vec![];
+        }
 
         let members: Vec<BatchMember> = batch
             .packets
@@ -110,22 +122,19 @@ impl BatchEncoder {
         let batch_id = BatchId(self.next_batch);
         self.next_batch += 1;
         self.stats.batches += 1;
-        self.stats.data_bytes += payloads.iter().map(|p| p.len() as u64).sum::<u64>();
+        self.stats.data_bytes += batch.packets.iter().map(payload_len).sum::<usize>() as u64;
 
-        coded
-            .parity
-            .into_iter()
-            .enumerate()
-            .map(|(idx, shard)| {
+        (0..parity_count)
+            .map(|idx| {
                 self.stats.coded_packets += 1;
-                self.stats.coded_bytes += shard.len() as u64;
+                self.stats.coded_bytes += shard_len as u64;
                 CodedPacket {
                     batch: batch_id,
                     parity_index: idx,
                     parity_count,
                     members: members.clone(),
-                    shard_len: coded.shard_len,
-                    shard,
+                    shard_len,
+                    shard: parity.slice(idx * shard_len..(idx + 1) * shard_len),
                     kind: batch.kind,
                     created_at: now,
                 }
@@ -134,61 +143,107 @@ impl BatchEncoder {
     }
 }
 
-/// Attempts to decode the missing members of a batch given the coded packets
-/// DC2 holds and the data packets collected from receivers.
+/// The batch decoder living at DC2: the counterpart of [`BatchEncoder`].
 ///
-/// Returns the recovered packets for exactly the `(flow, seq)` pairs listed
-/// in `wanted` (other rebuilt members are not returned).
-pub fn decode_batch(
-    coded: &[&CodedPacket],
-    collected: &[DataPacket],
-    wanted: &[(FlowId, SeqNo)],
-    now: Time,
-) -> Result<Vec<DataPacket>, RsError> {
-    let first = coded.first().ok_or(RsError::NotEnoughShards {
-        needed: 1,
-        present: 0,
-    })?;
-    let members = &first.members;
-    let data_count = members.len();
+/// Holds a [`BatchCodec`] so a codec matrix is built once per batch shape,
+/// and a [`ShardArena`] so that a decode runs inside one recycled slab
+/// instead of a fresh buffer per shard.
+#[derive(Clone, Debug, Default)]
+pub struct BatchDecoder {
+    codec: BatchCodec,
+    arena: ShardArena,
+}
 
-    // Map collected data packets onto member slots.
-    let mut available_data: Vec<(usize, &[u8])> = Vec::new();
-    for (slot, m) in members.iter().enumerate() {
-        if let Some(p) = collected
-            .iter()
-            .find(|p| p.flow == m.flow && p.seq == m.seq)
-        {
-            available_data.push((slot, p.payload.as_ref()));
-        }
+impl BatchDecoder {
+    /// Creates a decoder (no cached shapes, no pooled slabs).
+    pub fn new() -> Self {
+        BatchDecoder::default()
     }
-    let available_parity: Vec<(usize, &[u8])> = coded
-        .iter()
-        .map(|c| (c.parity_index, c.shard.as_ref()))
-        .collect();
 
-    let rebuilt = erasure::packets::decode_packets(
-        data_count,
-        first.shard_len,
-        &available_data,
-        &available_parity,
-    )?;
-
-    let mut out = Vec::new();
-    for (flow, seq) in wanted {
-        if let Some(slot) = members
-            .iter()
-            .position(|m| m.flow == *flow && m.seq == *seq)
-        {
-            out.push(DataPacket {
-                flow: *flow,
-                seq: *seq,
-                payload: Bytes::from(rebuilt[slot].clone()),
-                sent_at: now,
-            });
+    /// Attempts to rebuild member `wanted` of a batch from the coded packets
+    /// DC2 holds and the data packets collected from receivers.
+    ///
+    /// Accepts and rejects exactly what the `erasure` crate's one-shot
+    /// packet decoder (the oracle of this module's tests) does: collected
+    /// packets that are not members or do not fit a shard, and parity of the
+    /// wrong length, are ignored; too few shards, or a rebuilt shard with a
+    /// bad length prefix, is an error.  Returns `None` when `wanted` is not
+    /// a member.  (A zero `shard_len`, which no encoder produces, is always
+    /// [`RsError::EmptyShard`].)
+    pub fn decode_batch(
+        &mut self,
+        coded: &[CodedPacket],
+        collected: &[DataPacket],
+        wanted: (FlowId, SeqNo),
+        now: Time,
+    ) -> Result<Option<DataPacket>, RsError> {
+        let first = coded.first().ok_or(RsError::NotEnoughShards {
+            needed: 1,
+            present: 0,
+        })?;
+        let (members, shard_len) = (&first.members, first.shard_len);
+        let k = members.len();
+        // The codec only has to address the highest parity index held.
+        let m = coded.iter().map(|c| c.parity_index + 1).max().unwrap_or(1);
+        let rs = self.codec.codec(k, m)?;
+        if shard_len == 0 {
+            return Err(RsError::EmptyShard);
         }
+
+        // Pad the shards at hand straight into a leased (zeroed) slab.
+        let mut set = self.arena.lease(k, m, shard_len);
+        let mut present = [false; 255];
+        for (slot, member) in members.iter().enumerate() {
+            let held = collected
+                .iter()
+                .find(|p| p.flow == member.flow && p.seq == member.seq)
+                .filter(|p| p.payload.len() + 2 <= shard_len);
+            if let Some(p) = held {
+                pad_into(set.data_mut(slot), &p.payload);
+                present[slot] = true;
+            }
+        }
+        let (_, parity) = set.split_data_parity();
+        for c in coded.iter().filter(|c| c.shard.len() == shard_len) {
+            parity[c.parity_index * shard_len..][..shard_len].copy_from_slice(&c.shard);
+            present[k + c.parity_index] = true;
+        }
+
+        let rebuilt = rs.decode_into(&mut set, &present[..k + m]);
+        let recovered = rebuilt.and_then(|()| {
+            let mut out = None;
+            for (slot, member) in members.iter().enumerate() {
+                let payload = unpadded(set.shard(slot))?;
+                if out.is_none() && (member.flow, member.seq) == wanted {
+                    out = Some(DataPacket::new(
+                        member.flow,
+                        member.seq,
+                        Bytes::from_owner(payload.into()),
+                        now,
+                    ));
+                }
+            }
+            Ok(out)
+        });
+        self.arena.reclaim(set);
+        recovered
     }
-    Ok(out)
+}
+
+/// Writes a packet into a zeroed shard: 2-byte big-endian length, payload.
+fn pad_into(shard: &mut [u8], payload: &[u8]) {
+    let len = u16::try_from(payload.len()).expect("packet too large for length prefix");
+    shard[..2].copy_from_slice(&len.to_be_bytes());
+    shard[2..2 + payload.len()].copy_from_slice(payload);
+}
+
+/// The payload of a padded shard: what its 2-byte length prefix delimits.
+fn unpadded(shard: &[u8]) -> Result<&[u8], RsError> {
+    match shard {
+        [hi, lo, rest @ ..] => rest.get(..u16::from_be_bytes([*hi, *lo]) as usize),
+        _ => None,
+    }
+    .ok_or(RsError::ShardLengthMismatch)
 }
 
 /// The shard length DC1 will use for a set of payloads (exposed for tests and
@@ -202,6 +257,7 @@ mod tests {
     use super::*;
     use crate::coding::queues::QueuedPacket;
     use netsim::NodeId;
+    use proptest::prelude::*;
 
     fn batch(kind: CodingKind, sizes: &[(u32, u64, usize)]) -> ReadyBatch {
         ReadyBatch {
@@ -268,9 +324,38 @@ mod tests {
         assert_eq!(coded.len(), 2);
         assert_eq!(coded[0].members.len(), 1);
         // The lone member is recoverable from the parity shard alone.
-        let coded_refs: Vec<&CodedPacket> = vec![&coded[0]];
-        let recovered = decode_batch(&coded_refs, &[], &[(FlowId(0), 1)], Time::ZERO).unwrap();
-        assert_eq!(recovered[0].payload, b.packets[0].packet.payload);
+        let recovered = BatchDecoder::new()
+            .decode_batch(&coded[..1], &[], (FlowId(0), 1), Time::ZERO)
+            .unwrap()
+            .unwrap();
+        assert_eq!(recovered.payload, b.packets[0].packet.payload);
+    }
+
+    #[test]
+    fn parity_is_what_the_one_shot_codec_produces() {
+        // Unequal lengths, an empty payload, two batch shapes through one
+        // encoder: every shard equals `erasure::packets::encode_packets`'s,
+        // and the shards of a batch are windows of one parity-only buffer.
+        let mut enc = default_encoder();
+        for sizes in [&[100usize, 0, 1400, 33][..], &[7, 900][..], &[64][..]] {
+            let members: Vec<(u32, u64, usize)> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, size)| (i as u32, 3, *size))
+                .collect();
+            let b = batch(CodingKind::CrossStream, &members);
+            let payloads: Vec<&[u8]> = b.packets.iter().map(|p| &p.packet.payload[..]).collect();
+            let expected = erasure::packets::encode_packets(&payloads, 2).unwrap();
+            let coded = enc.encode(&b, Time::ZERO);
+            assert_eq!(coded.len(), 2);
+            for (c, parity) in coded.iter().zip(&expected.parity) {
+                assert_eq!(c.shard_len, expected.shard_len);
+                assert_eq!(c.shard_len, batch_shard_len(&payloads));
+                assert_eq!(&c.shard[..], &parity[..]);
+            }
+        }
+        assert_eq!(enc.stats().coded_bytes, 2 * (1402 + 902 + 66));
+        assert_eq!(enc.stats().data_bytes, 100 + 1400 + 33 + 7 + 900 + 64);
     }
 
     #[test]
@@ -302,18 +387,19 @@ mod tests {
             .filter(|p| p.packet.flow != FlowId(2))
             .map(|p| p.packet.clone())
             .collect();
-        let coded_refs: Vec<&CodedPacket> = vec![&coded[0]];
-        let recovered = decode_batch(
-            &coded_refs,
-            &collected,
-            &[(FlowId(2), 9)],
-            Time::from_millis(200),
-        )
-        .unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].flow, FlowId(2));
-        assert_eq!(recovered[0].seq, 9);
-        assert_eq!(recovered[0].payload, b.packets[2].packet.payload);
+        let recovered = BatchDecoder::new()
+            .decode_batch(
+                &coded[..1],
+                &collected,
+                (FlowId(2), 9),
+                Time::from_millis(200),
+            )
+            .unwrap()
+            .expect("flow 2's packet is a member");
+        assert_eq!(recovered.flow, FlowId(2));
+        assert_eq!(recovered.seq, 9);
+        assert_eq!(recovered.sent_at, Time::from_millis(200));
+        assert_eq!(recovered.payload, b.packets[2].packet.payload);
     }
 
     #[test]
@@ -334,14 +420,18 @@ mod tests {
             .collect();
 
         // With one coded packet recovery is impossible...
-        let one: Vec<&CodedPacket> = vec![&coded[0]];
-        assert!(decode_batch(&one, &collected, &[(FlowId(2), 9)], Time::ZERO).is_err());
+        let mut decoder = BatchDecoder::new();
+        assert!(decoder
+            .decode_batch(&coded[..1], &collected, (FlowId(2), 9), Time::ZERO)
+            .is_err());
 
         // ...but the second cross-stream packet (straggler protection, §4.2)
         // makes it possible.
-        let two: Vec<&CodedPacket> = vec![&coded[0], &coded[1]];
-        let recovered = decode_batch(&two, &collected, &[(FlowId(2), 9)], Time::ZERO).unwrap();
-        assert_eq!(recovered[0].payload, b.packets[2].packet.payload);
+        let recovered = decoder
+            .decode_batch(&coded[..2], &collected, (FlowId(2), 9), Time::ZERO)
+            .unwrap()
+            .unwrap();
+        assert_eq!(recovered.payload, b.packets[2].packet.payload);
     }
 
     #[test]
@@ -360,9 +450,141 @@ mod tests {
             .collect();
         // A stray packet from a flow not in the batch must not confuse decode.
         collected.push(DataPacket::synthetic(FlowId(77), 1, 80, Time::ZERO));
-        let coded_refs: Vec<&CodedPacket> = coded.iter().collect();
-        let recovered =
-            decode_batch(&coded_refs, &collected, &[(FlowId(0), 1)], Time::ZERO).unwrap();
-        assert_eq!(recovered[0].payload, b.packets[0].packet.payload);
+        let recovered = BatchDecoder::new()
+            .decode_batch(&coded, &collected, (FlowId(0), 1), Time::ZERO)
+            .unwrap()
+            .unwrap();
+        assert_eq!(recovered.payload, b.packets[0].packet.payload);
+    }
+
+    /// The decode [`BatchDecoder::decode_batch`] replaced: member slots and
+    /// parity indices handed to `erasure::packets::decode_packets`, which
+    /// rebuilds every member into fresh buffers.
+    fn decode_through_packets(
+        coded: &[CodedPacket],
+        collected: &[DataPacket],
+        wanted: (FlowId, SeqNo),
+    ) -> Result<Option<Vec<u8>>, RsError> {
+        let first = &coded[0];
+        let data: Vec<(usize, &[u8])> = first
+            .members
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, m)| {
+                let held = collected
+                    .iter()
+                    .find(|p| p.flow == m.flow && p.seq == m.seq)?;
+                Some((slot, held.payload.as_ref()))
+            })
+            .collect();
+        let parity: Vec<(usize, &[u8])> = coded
+            .iter()
+            .map(|c| (c.parity_index, c.shard.as_ref()))
+            .collect();
+        let rebuilt =
+            erasure::packets::decode_packets(first.members.len(), first.shard_len, &data, &parity)?;
+        let slot = first.members.iter().position(|m| (m.flow, m.seq) == wanted);
+        Ok(slot.map(|slot| rebuilt[slot].clone()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decode_batch_matches_decode_packets(
+            sizes in proptest::collection::vec(0usize..=1400, 1..11),
+            parity in 1usize..=2,
+            collected_mask in 0u32..1024,
+            held_mask in 1usize..4,
+            wanted_slot in 0usize..11,
+            oversize_slot in 0usize..22,
+            fill: u8,
+        ) {
+            let k = sizes.len();
+            let members: Vec<(u32, u64, usize)> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, size)| (i as u32, 100 + i as u64, *size))
+                .collect();
+            let mut b = batch(CodingKind::CrossStream, &members);
+            for (i, qp) in b.packets.iter_mut().enumerate() {
+                let bytes: Vec<u8> = (0..sizes[i])
+                    .map(|j| fill.wrapping_mul(i as u8 + 1).wrapping_add(j as u8))
+                    .collect();
+                qp.packet.payload = Bytes::from(bytes);
+            }
+            let mut enc = BatchEncoder::new(CodingParams {
+                cross_parity: parity,
+                ..CodingParams::planetlab_defaults()
+            });
+            let coded: Vec<CodedPacket> = enc
+                .encode(&b, Time::ZERO)
+                .into_iter()
+                .filter(|c| held_mask & (1 << c.parity_index) != 0)
+                .collect();
+            if coded.is_empty() {
+                // Only the second parity packet was asked for and m = 1.
+                return;
+            }
+
+            // Receivers answer for a random subset of the members; one answer
+            // may be a packet too long for the batch's shards, and a packet
+            // of a flow outside the batch always tags along.
+            let mut collected: Vec<DataPacket> = b
+                .packets
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| collected_mask & (1 << i) != 0)
+                .map(|(_, qp)| qp.packet.clone())
+                .collect();
+            if let Some(p) = collected.get_mut(oversize_slot) {
+                p.payload = Bytes::from(vec![fill; coded[0].shard_len - 1]);
+            }
+            collected.push(DataPacket::synthetic(FlowId(77), 1, 80, Time::ZERO));
+
+            // Slot k is no member: both sides must say so, not fail.
+            let wanted = match members.get(wanted_slot % (k + 1)) {
+                Some(&(flow, seq, _)) => (FlowId(flow), seq),
+                None => (FlowId(99), 0),
+            };
+            let now = Time::from_millis(5);
+            let got = BatchDecoder::new().decode_batch(&coded, &collected, wanted, now);
+            let expected = decode_through_packets(&coded, &collected, wanted);
+            match (got, expected) {
+                (Ok(Some(packet)), Ok(Some(payload))) => {
+                    prop_assert_eq!((packet.flow, packet.seq), wanted);
+                    prop_assert_eq!(packet.sent_at, now);
+                    prop_assert_eq!(&packet.payload[..], &payload[..]);
+                }
+                (got, expected) => {
+                    prop_assert_eq!(got.map(|p| p.map(|p| p.payload.to_vec())), expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_decoder_serves_batches_of_different_shapes() {
+        let mut enc = default_encoder();
+        let mut decoder = BatchDecoder::new();
+        for (round, k) in [4usize, 2, 6, 4].into_iter().enumerate() {
+            let members: Vec<(u32, u64, usize)> = (0..k)
+                .map(|i| (i as u32, round as u64, 50 + 100 * i))
+                .collect();
+            let b = batch(CodingKind::CrossStream, &members);
+            let coded = enc.encode(&b, Time::ZERO);
+            let collected: Vec<DataPacket> =
+                b.packets[1..].iter().map(|p| p.packet.clone()).collect();
+            let recovered = decoder
+                .decode_batch(
+                    &coded[1..],
+                    &collected,
+                    (FlowId(0), round as u64),
+                    Time::ZERO,
+                )
+                .unwrap()
+                .unwrap();
+            assert_eq!(recovered.payload, b.packets[0].packet.payload);
+        }
     }
 }

@@ -183,32 +183,24 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_do_not_reduce_throughput() {
-        // A weak form of the Figure 10 claim suitable for CI machines: with
-        // two threads the throughput is at least ~1.2x a single thread.
-        let single = EncodingEngine::new(EngineConfig {
-            threads: 1,
-            block_size: 5,
-            parity: 1,
-            packet_bytes: 512,
-        })
-        .run(60_000);
-        let dual = EncodingEngine::new(EngineConfig {
-            threads: 2,
-            block_size: 5,
-            parity: 1,
-            packet_bytes: 512,
-        })
-        .run(60_000);
-        // Debug/test builds and shared CI machines add enough noise that a
-        // strict speed-up assertion would be flaky; the real scaling curve is
-        // measured by the benchmark's `encoder-fig10` workload.
-        assert!(
-            dual.ingress_pps() > single.ingress_pps() * 0.8,
-            "1 thread: {:.0} pps, 2 threads: {:.0} pps",
-            single.ingress_pps(),
-            dual.ingress_pps()
-        );
+    fn thread_count_does_not_change_the_work_done() {
+        // What Figure 10 varies is speed, and that is the benchmark's to
+        // measure (`encoder.scaling_2t`); what must hold on any machine is
+        // that one and two threads code the same packets into the same
+        // number of coded packets.
+        let run = |threads| {
+            EncodingEngine::new(EngineConfig {
+                threads,
+                block_size: 5,
+                parity: 1,
+                packet_bytes: 512,
+            })
+            .run(60_000)
+        };
+        let (single, dual) = (run(1), run(2));
+        assert_eq!(single.packets_in, 60_000);
+        assert_eq!(dual.packets_in, single.packets_in);
+        assert_eq!(dual.coded_out, single.coded_out);
     }
 
     #[test]

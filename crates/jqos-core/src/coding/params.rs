@@ -97,9 +97,6 @@ impl CodingParams {
         if self.k < 2 {
             return Err("cross-stream coding needs k >= 2".into());
         }
-        if self.k > 10 && self.cross_queue_count == 0 {
-            return Err("cross_queue_count must be >= 1".into());
-        }
         if self.cross_parity == 0 {
             return Err("cross_parity must be >= 1".into());
         }

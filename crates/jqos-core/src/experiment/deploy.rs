@@ -124,7 +124,7 @@ impl Deployment {
     /// log joined with the receiver's first-arrival records.
     pub fn packet_outcomes(&mut self, w: WiredFlow) -> Vec<PacketOutcome> {
         // Sorted by sequence number, one record each: it is the receiver's
-        // per-flow `BTreeMap` flattened.
+        // sequence-indexed per-flow table with the empty slots dropped.
         let deliveries = self
             .sim
             .node_as::<ReceiverNode>(w.receiver)

@@ -36,6 +36,7 @@ pub mod coding;
 pub mod cost;
 pub mod experiment;
 pub mod fleet;
+pub(crate) mod hash;
 pub mod nodes;
 pub mod packet;
 pub mod recovery;

@@ -9,14 +9,13 @@
 //! * **coding** — feed the packet into the coding plan (Algorithm 1) and ship
 //!   the resulting coded packets to DC2.
 
-use std::any::Any;
-use std::collections::HashMap;
-
 use netsim::{Context, Dur, Node, NodeId};
+use std::any::Any;
 
 use crate::coding::encoder::BatchEncoder;
 use crate::coding::params::CodingParams;
 use crate::coding::queues::CodingQueues;
+use crate::hash::FixedMap;
 use crate::packet::{DataPacket, FlowId, Msg};
 use crate::select::ServiceKind;
 use crate::services::forwarding::ForwardingTable;
@@ -46,7 +45,7 @@ struct FlowState {
 
 /// The ingress data center node.
 pub struct Dc1Node {
-    flows: HashMap<FlowId, FlowState>,
+    flows: FixedMap<FlowId, FlowState>,
     forwarding: ForwardingTable,
     queues: CodingQueues,
     encoder: BatchEncoder,
@@ -61,7 +60,7 @@ impl Dc1Node {
     pub fn new(params: CodingParams) -> Self {
         let flush_interval = params.queue_timeout / 2;
         Dc1Node {
-            flows: HashMap::new(),
+            flows: FixedMap::default(),
             forwarding: ForwardingTable::new(),
             queues: CodingQueues::new(params),
             encoder: BatchEncoder::new(params),

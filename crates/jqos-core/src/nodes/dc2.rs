@@ -20,12 +20,13 @@
 //!   (§4.2, Figure 8(e)).  Recovery fails silently at a deadline otherwise.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 use netsim::{Context, Dur, Node, NodeId, Time, TimerId};
 
-use crate::coding::encoder::decode_batch;
-use crate::packet::{BatchId, CodedPacket, DataPacket, FlowId, Msg, SeqNo};
+use crate::coding::encoder::BatchDecoder;
+use crate::hash::FixedMap;
+use crate::packet::{BatchId, CodedPacket, CodingKind, DataPacket, FlowId, Msg, SeqNo};
 use crate::select::ServiceKind;
 use crate::services::caching::{CacheConfig, PacketCache};
 
@@ -132,22 +133,34 @@ fn split_tag(tag: u64) -> (u64, u64) {
 }
 
 /// The egress data center node.
+///
+/// Every per-packet step is a keyed lookup.  The maps are never iterated
+/// where the order could reach the event schedule: whatever is walked — the
+/// expiry queue, a coverage list, a batch's recoveries, the receivers of a
+/// cooperative round, the NACKs one coded packet releases — is a queue, a
+/// `Vec` in arrival order, a `BTreeMap` or sorted first.
 pub struct Dc2Node {
     config: Dc2Config,
-    flows: HashMap<FlowId, FlowState>,
+    flows: FixedMap<FlowId, FlowState>,
     cache: PacketCache,
-    coded: HashMap<BatchId, Vec<CodedPacket>>,
-    coded_arrival: HashMap<BatchId, Time>,
-    coverage: HashMap<(FlowId, SeqNo), Vec<BatchId>>,
-    pending: HashMap<u64, PendingRecovery>,
-    pending_by_batch: HashMap<BatchId, Vec<u64>>,
-    pending_by_target: HashMap<(FlowId, SeqNo), u64>,
-    /// Parked NACKs by waiting id.  Ids are allocated in arrival order and
-    /// this map is *iterated* (to promote the NACKs a coded packet covers),
-    /// so it is ordered: hash order differs per process and would start two
-    /// recoveries released by one batch in a non-replayable order.
-    waiting: BTreeMap<u64, WaitingNack>,
-    waiting_by_target: HashMap<(FlowId, SeqNo), u64>,
+    /// The parity packets held, by batch; never an empty list.
+    coded: FixedMap<BatchId, Vec<CodedPacket>>,
+    /// The batches in `coded` with the arrival time of their first parity
+    /// packet, oldest first.  Arrival times never decrease, so the batches
+    /// past their TTL are exactly a prefix of this queue.
+    coded_order: VecDeque<(Time, BatchId)>,
+    /// The batches in `coded` that cover a packet, in arrival order, each
+    /// once; never an empty list.
+    coverage: FixedMap<(FlowId, SeqNo), Vec<BatchId>>,
+    pending: FixedMap<u64, PendingRecovery>,
+    /// The recoveries running on a batch, in start order; no entry once the
+    /// last one has finished.
+    pending_by_batch: FixedMap<BatchId, Vec<u64>>,
+    pending_by_target: FixedMap<(FlowId, SeqNo), u64>,
+    /// Parked NACKs by waiting id; ids are allocated in arrival order.
+    waiting: FixedMap<u64, WaitingNack>,
+    waiting_by_target: FixedMap<(FlowId, SeqNo), u64>,
+    decoder: BatchDecoder,
     next_id: u64,
     stats: Dc2Stats,
 }
@@ -158,15 +171,16 @@ impl Dc2Node {
         Dc2Node {
             cache: PacketCache::new(config.cache),
             config,
-            flows: HashMap::new(),
-            coded: HashMap::new(),
-            coded_arrival: HashMap::new(),
-            coverage: HashMap::new(),
-            pending: HashMap::new(),
-            pending_by_batch: HashMap::new(),
-            pending_by_target: HashMap::new(),
-            waiting: BTreeMap::new(),
-            waiting_by_target: HashMap::new(),
+            flows: FixedMap::default(),
+            coded: FixedMap::default(),
+            coded_order: VecDeque::new(),
+            coverage: FixedMap::default(),
+            pending: FixedMap::default(),
+            pending_by_batch: FixedMap::default(),
+            pending_by_target: FixedMap::default(),
+            waiting: FixedMap::default(),
+            waiting_by_target: FixedMap::default(),
+            decoder: BatchDecoder::new(),
             next_id: 0,
             stats: Dc2Stats::default(),
         }
@@ -251,31 +265,29 @@ impl Dc2Node {
         let batch = coded.batch;
         let now = ctx.now();
         self.expire_coded(now);
-        for m in &coded.members {
-            self.coverage
-                .entry((m.flow, m.seq))
-                .or_default()
-                .push(batch);
-        }
-        self.coded_arrival.entry(batch).or_insert(now);
-        self.coded.entry(batch).or_default().push(coded);
-
-        // Any parked NACK covered by this batch can now start recovery, in
-        // ascending waiting id — the order the NACKs arrived in.
-        let covered: Vec<u64> = self
-            .waiting
+        // The parked NACKs this batch covers, looked up member by member.
+        let mut covered: Vec<u64> = coded
+            .members
             .iter()
-            .filter(|(_, w)| {
-                self.coded
-                    .get(&batch)
-                    .map(|v| v.iter().any(|c| c.covers(w.flow, w.seq)))
-                    .unwrap_or(false)
-            })
-            .map(|(id, _)| *id)
+            .filter_map(|m| self.waiting_by_target.remove(&(m.flow, m.seq)))
             .collect();
+        let held = self.coded.entry(batch).or_default();
+        if held.is_empty() {
+            self.coded_order.push_back((now, batch));
+            for m in &coded.members {
+                self.coverage
+                    .entry((m.flow, m.seq))
+                    .or_default()
+                    .push(batch);
+            }
+        }
+        held.push(coded);
+
+        // They can now start recovery, in ascending waiting id — the order
+        // the NACKs arrived in, whatever the member order of the batch.
+        covered.sort_unstable();
         for id in covered {
             if let Some(w) = self.waiting.remove(&id) {
-                self.waiting_by_target.remove(&(w.flow, w.seq));
                 ctx.cancel_timer(w.deadline);
                 self.stats.waiting_promoted += 1;
                 self.start_cooperative(ctx, w.flow, w.seq, w.requester);
@@ -284,28 +296,19 @@ impl Dc2Node {
     }
 
     fn expire_coded(&mut self, now: Time) {
-        let ttl = self.config.coded_ttl;
-        // Hash order is harmless here: expiry only removes entries (a batch
-        // from the stores, its id from each coverage list, which keeps its
-        // relative order), so every visiting order leaves the same state and
-        // nothing is sent or scheduled.
-        let expired: Vec<BatchId> = self
-            .coded_arrival
-            .iter()
-            .filter(|(_, at)| now.saturating_since(**at) >= ttl)
-            .map(|(b, _)| *b)
-            .collect();
-        for b in expired {
-            self.coded_arrival.remove(&b);
-            if let Some(packets) = self.coded.remove(&b) {
-                for c in &packets {
-                    for m in &c.members {
-                        if let Some(list) = self.coverage.get_mut(&(m.flow, m.seq)) {
-                            list.retain(|x| *x != b);
-                            if list.is_empty() {
-                                self.coverage.remove(&(m.flow, m.seq));
-                            }
-                        }
+        while let Some(&(arrived, b)) = self.coded_order.front() {
+            if now.saturating_since(arrived) < self.config.coded_ttl {
+                break;
+            }
+            self.coded_order.pop_front();
+            // Recoveries still running on the batch fail at their deadline.
+            self.pending_by_batch.remove(&b);
+            let held = self.coded.remove(&b).unwrap_or_default();
+            for m in held.first().into_iter().flat_map(|c| &c.members) {
+                if let Some(list) = self.coverage.get_mut(&(m.flow, m.seq)) {
+                    list.retain(|x| *x != b);
+                    if list.is_empty() {
+                        self.coverage.remove(&(m.flow, m.seq));
                     }
                 }
             }
@@ -327,12 +330,7 @@ impl Dc2Node {
             return;
         }
         // 2. A coded batch covering the packet exists: cooperative recovery.
-        if self
-            .coverage
-            .get(&key)
-            .map(|v| !v.is_empty())
-            .unwrap_or(false)
-        {
+        if self.coverage.contains_key(&key) {
             self.start_cooperative(ctx, flow, seq, from);
             return;
         }
@@ -372,25 +370,18 @@ impl Dc2Node {
         // so it can repair bursts that wiped out the requester's own recent
         // packets (which an in-stream batch cannot, since its members are the
         // very packets that were lost together).
-        let candidates = match self.coverage.get(&key) {
-            Some(v) if !v.is_empty() => v.clone(),
-            _ => return,
+        let Some(candidates) = self.coverage.get(&key) else {
+            return;
         };
+        let kind_of = |b: &BatchId| self.coded.get(b).and_then(|v| v.first()).map(|c| c.kind);
         let batch = candidates
             .iter()
             .copied()
-            .find(|b| {
-                self.coded
-                    .get(b)
-                    .and_then(|v| v.first())
-                    .map(|c| c.kind == crate::packet::CodingKind::CrossStream)
-                    .unwrap_or(false)
-            })
+            .find(|b| kind_of(b) == Some(CodingKind::CrossStream))
             .unwrap_or(candidates[0]);
-        let members = match self.coded.get(&batch).and_then(|v| v.first()) {
-            Some(c) => c.members.clone(),
-            None => return,
-        };
+        if kind_of(&batch).is_none() {
+            return;
+        }
         self.stats.coop_started += 1;
         let id = self.alloc_id();
         let deadline = ctx.set_timer(self.config.coop_deadline, timer_tag(TIMER_KIND_COOP, id));
@@ -415,7 +406,7 @@ impl Dc2Node {
         // varies per map instance and would leak non-seeded entropy into the
         // event schedule (breaking same-process replay determinism).
         let mut per_receiver: BTreeMap<NodeId, Vec<(FlowId, SeqNo)>> = BTreeMap::new();
-        for m in &members {
+        for m in &self.coded[&batch][0].members {
             if m.flow == flow && m.seq == seq {
                 continue;
             }
@@ -462,35 +453,39 @@ impl Dc2Node {
     }
 
     fn try_decode(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
-        let (batch, flow, seq) = match self.pending.get(&id) {
-            Some(p) => (p.batch, p.flow, p.seq),
-            None => return,
+        let Some(p) = self.pending.get(&id) else {
+            return;
         };
-        let coded = match self.coded.get(&batch) {
-            Some(c) if !c.is_empty() => c,
-            _ => return,
+        let Some(coded) = self.coded.get(&p.batch) else {
+            return;
         };
-        let members = coded[0].members.len();
-        let collected = &self.pending[&id].collected;
         // Shards available: collected member packets + parity packets held.
-        let have = collected.len() + coded.len();
-        if have < members {
+        if p.collected.len() + coded.len() < coded[0].members.len() {
             return;
         }
-        let coded_refs: Vec<&CodedPacket> = coded.iter().collect();
-        let result = decode_batch(&coded_refs, collected, &[(flow, seq)], ctx.now());
-        if let Ok(mut recovered) = result {
-            if let Some(packet) = recovered.pop() {
-                let p = self.pending.remove(&id).expect("pending exists");
-                ctx.cancel_timer(p.deadline);
-                self.pending_by_target.remove(&(p.flow, p.seq));
-                if let Some(list) = self.pending_by_batch.get_mut(&p.batch) {
-                    list.retain(|x| *x != id);
-                }
-                self.stats.coop_recovered += 1;
-                self.send_recovered(ctx, p.requester, packet, Some(batch));
+        let target = (p.flow, p.seq);
+        let result = self
+            .decoder
+            .decode_batch(coded, &p.collected, target, ctx.now());
+        if let Ok(Some(packet)) = result {
+            let p = self.finish_recovery(id).expect("pending exists");
+            ctx.cancel_timer(p.deadline);
+            self.stats.coop_recovered += 1;
+            self.send_recovered(ctx, p.requester, packet, Some(p.batch));
+        }
+    }
+
+    /// Forgets recovery `id`, decoded or failed, in every index.
+    fn finish_recovery(&mut self, id: u64) -> Option<PendingRecovery> {
+        let p = self.pending.remove(&id)?;
+        self.pending_by_target.remove(&(p.flow, p.seq));
+        if let Some(list) = self.pending_by_batch.get_mut(&p.batch) {
+            list.retain(|x| *x != id);
+            if list.is_empty() {
+                self.pending_by_batch.remove(&p.batch);
             }
         }
+        Some(p)
     }
 
     fn handle_nack_confirm(
@@ -560,13 +555,7 @@ impl Node<Msg> for Dc2Node {
         match kind {
             TIMER_KIND_COOP => {
                 // Recovery deadline: fail silently (§4.4).
-                if let Some(p) = self.pending.remove(&id) {
-                    self.pending_by_target.remove(&(p.flow, p.seq));
-                    if let Some(list) = self.pending_by_batch.get_mut(&p.batch) {
-                        list.retain(|x| *x != id);
-                    }
-                    self.stats.coop_failed += 1;
-                }
+                self.stats.coop_failed += u64::from(self.finish_recovery(id).is_some());
             }
             TIMER_KIND_WAITING => {
                 if let Some(w) = self.waiting.remove(&id) {
@@ -994,6 +983,218 @@ mod tests {
             })
             .collect();
         assert_eq!(request_order, arrival_order);
+    }
+
+    fn nack(flow: u32, seq: SeqNo) -> Msg {
+        Msg::Nack {
+            flow: FlowId(flow),
+            seq,
+            reason: NackReason::Gap,
+        }
+    }
+
+    #[test]
+    fn one_coded_packet_promotes_exactly_the_parked_nacks_it_covers() {
+        let mut sim = Simulator::new(12);
+        // One receiver terminates four coding flows and NACKs seq 7 of flows
+        // 3, 1 and 2, in that order, before any coded packet reaches DC2.
+        let mut receiver = Peer::new(DC2_PLACEHOLDER);
+        receiver.answer_coop = false;
+        for (i, flow) in [3u32, 1, 2].into_iter().enumerate() {
+            let at = Dur::from_millis(10 + 2 * i as u64);
+            receiver.script.push((at, DC2_PLACEHOLDER, nack(flow, 7)));
+        }
+        let receiver_id = sim.add_node(receiver);
+        let mut dc2 = Dc2Node::new(Dc2Config::default());
+        for flow in 1..=4 {
+            dc2.register_flow(FlowId(flow), ServiceKind::Coding, receiver_id);
+        }
+        let dc2_id = sim.add_node(dc2);
+        sim.node_as::<Peer>(receiver_id).dc2 = dc2_id;
+        let link = LinkSpec::symmetric(Dur::from_millis(5));
+        sim.add_link(receiver_id, dc2_id, link.clone());
+
+        // The batch covers flows 1, 3 and 4 — not flow 2 — and its two parity
+        // packets arrive 20 ms apart.
+        let members: Vec<(DataPacket, NodeId)> = [1u32, 3, 4]
+            .into_iter()
+            .map(|flow| (pkt(flow, 7, flow as u8), receiver_id))
+            .collect();
+        let mut dc1 = Peer::new(dc2_id);
+        for (i, coded) in make_coded(&members, 2).into_iter().enumerate() {
+            let at = Dur::from_millis(60 + 20 * i as u64);
+            dc1.script.push((at, dc2_id, Msg::Coded(coded)));
+        }
+        let dc1_id = sim.add_node(dc1);
+        sim.add_link(dc1_id, dc2_id, link);
+
+        sim.run_for(Dur::from_millis(200));
+        let dc2 = sim.node_as::<Dc2Node>(dc2_id);
+        let stats = dc2.stats();
+        assert_eq!(stats.coded_received, 2);
+        assert_eq!(stats.nacks_waiting, 3);
+        assert_eq!(stats.waiting_promoted, 2, "{stats:?}");
+        assert_eq!(
+            stats.coop_started, 2,
+            "the second parity packet starts nothing"
+        );
+        // Flow 2's NACK is still parked, in both indices.
+        assert_eq!(dc2.waiting.len(), 1);
+        assert_eq!(dc2.waiting_by_target.len(), 1);
+        assert!(dc2.waiting_by_target.contains_key(&(FlowId(2), 7)));
+        // Arrival order (3 then 1), not the batch's member order (1 then 3):
+        // a request names every member but the one being rebuilt.
+        let request_order: Vec<u32> = sim
+            .node_as::<Peer>(receiver_id)
+            .received
+            .iter()
+            .filter_map(|m| match m {
+                Msg::CoopRequest { needed, .. } => [1u32, 3, 4]
+                    .into_iter()
+                    .find(|flow| needed.iter().all(|(f, _)| f.0 != *flow)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(request_order, [3, 1]);
+    }
+
+    #[test]
+    fn coded_batches_expire_in_arrival_order_from_every_index() {
+        let mut sim = Simulator::new(13);
+        let (a1, a2) = (pkt(1, 5, 11), pkt(2, 8, 22));
+        let (b1, b2) = (pkt(1, 6, 33), pkt(2, 9, 44));
+
+        let mut r1 = Peer::new(DC2_PLACEHOLDER);
+        // A NACK nothing at DC2 ever covers: its waiting deadline (400 ms) is
+        // the DC2 timer that runs expiry once batch A is 10 s old.
+        r1.script
+            .push((Dur::from_millis(9_800), DC2_PLACEHOLDER, nack(1, 99)));
+        // Then one member of each batch is reported lost.
+        r1.script
+            .push((Dur::from_millis(10_300), DC2_PLACEHOLDER, nack(1, 5)));
+        r1.script
+            .push((Dur::from_millis(10_310), DC2_PLACEHOLDER, nack(1, 6)));
+        let r1_id = sim.add_node(r1);
+        let mut r2 = Peer::new(DC2_PLACEHOLDER);
+        r2.holds = vec![a2.clone(), b2.clone()];
+        let r2_id = sim.add_node(r2);
+
+        let mut dc2 = Dc2Node::new(Dc2Config::default());
+        dc2.register_flow(FlowId(1), ServiceKind::Coding, r1_id);
+        dc2.register_flow(FlowId(2), ServiceKind::Coding, r2_id);
+        let dc2_id = sim.add_node(dc2);
+        let link = LinkSpec::symmetric(Dur::from_millis(5));
+        for r in [r1_id, r2_id] {
+            sim.node_as::<Peer>(r).dc2 = dc2_id;
+            sim.add_link(r, dc2_id, link.clone());
+        }
+
+        // Batch A reaches DC2 at 10 ms, batch B five seconds later.
+        let batch_a = make_coded(&[(a1, r1_id), (a2, r2_id)], 2);
+        let mut batch_b = make_coded(&[(b1.clone(), r1_id), (b2, r2_id)], 2);
+        let mut dc1 = Peer::new(dc2_id);
+        for c in &mut batch_b {
+            c.batch = BatchId(1);
+        }
+        for (at_ms, batch) in [(5, batch_a), (5_005, batch_b)] {
+            for c in batch {
+                dc1.script
+                    .push((Dur::from_millis(at_ms), dc2_id, Msg::Coded(c)));
+            }
+        }
+        let dc1_id = sim.add_node(dc1);
+        sim.add_link(dc1_id, dc2_id, link);
+
+        sim.run_for(Dur::from_millis(10_250));
+        let dc2 = sim.node_as::<Dc2Node>(dc2_id);
+        assert_eq!(dc2.stats().waiting_expired, 1);
+        assert_eq!(dc2.coded.keys().copied().collect::<Vec<_>>(), [BatchId(1)]);
+        assert_eq!(dc2.coded_order.len(), 1);
+        assert_eq!(dc2.coded_packet_count(), 2);
+        // Each parity packet of B listed the batch once, A is in no list and
+        // A's members have no list left.
+        assert_eq!(dc2.coverage.len(), 2);
+        assert!(dc2.coverage.values().all(|list| list == &[BatchId(1)]));
+        assert!(dc2.coverage.contains_key(&(FlowId(1), 6)));
+
+        sim.run_for(Dur::from_millis(750));
+        let stats = sim.node_as::<Dc2Node>(dc2_id).stats();
+        // The NACK for A's member finds nothing and is parked; B's recovers.
+        assert_eq!(stats.nacks_waiting, 2);
+        assert_eq!(stats.coop_started, 1);
+        assert_eq!(stats.coop_recovered, 1, "{stats:?}");
+        let recovered: Vec<DataPacket> = sim
+            .node_as::<Peer>(r1_id)
+            .received
+            .iter()
+            .filter_map(|m| match m {
+                Msg::Recovered { packet, .. } => Some(packet.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!((recovered[0].seq, &recovered[0].payload), (6, &b1.payload));
+    }
+
+    #[test]
+    fn finished_recoveries_leave_no_per_batch_state() {
+        // r1 loses one member of each of two single-parity batches.  Batch 0
+        // has three members and r3 never answers, so its recovery fails at
+        // the deadline; batch 1 has two and r2's answer decodes it.
+        let mut sim = Simulator::new(14);
+        let (p1, p2, p3) = (pkt(1, 5, 11), pkt(2, 8, 22), pkt(3, 2, 33));
+        let (q1, q2) = (pkt(1, 6, 44), pkt(2, 9, 55));
+        let mut r1 = Peer::new(DC2_PLACEHOLDER);
+        for seq in [5, 6] {
+            r1.script
+                .push((Dur::from_millis(40), DC2_PLACEHOLDER, nack(1, seq)));
+        }
+        let r1_id = sim.add_node(r1);
+        let mut r2 = Peer::new(DC2_PLACEHOLDER);
+        r2.holds = vec![p2.clone(), q2.clone()];
+        let r2_id = sim.add_node(r2);
+        let mut r3 = Peer::new(DC2_PLACEHOLDER);
+        r3.answer_coop = false;
+        let r3_id = sim.add_node(r3);
+
+        let mut dc2 = Dc2Node::new(Dc2Config::default());
+        let link = LinkSpec::symmetric(Dur::from_millis(8));
+        for (flow, r) in [(1, r1_id), (2, r2_id), (3, r3_id)] {
+            dc2.register_flow(FlowId(flow), ServiceKind::Coding, r);
+        }
+        let dc2_id = sim.add_node(dc2);
+        for r in [r1_id, r2_id, r3_id] {
+            sim.node_as::<Peer>(r).dc2 = dc2_id;
+            sim.add_link(r, dc2_id, link.clone());
+        }
+        let mut batches = make_coded(&[(p1, r1_id), (p2, r2_id), (p3, r3_id)], 1);
+        batches.extend(make_coded(&[(q1, r1_id), (q2, r2_id)], 1));
+        batches[1].batch = BatchId(1);
+        let mut dc1 = Peer::new(dc2_id);
+        for c in batches {
+            dc1.script
+                .push((Dur::from_millis(5), dc2_id, Msg::Coded(c)));
+        }
+        let dc1_id = sim.add_node(dc1);
+        sim.add_link(dc1_id, dc2_id, link);
+
+        // Mid-way batch 1's recovery is done and its entry gone; batch 0's
+        // still waits for its deadline.
+        sim.run_for(Dur::from_millis(150));
+        let dc2 = sim.node_as::<Dc2Node>(dc2_id);
+        assert_eq!(dc2.stats().coop_started, 2);
+        assert_eq!(dc2.stats().coop_recovered, 1, "{:?}", dc2.stats());
+        assert_eq!(dc2.pending.len(), 1);
+        let by_batch: Vec<_> = dc2.pending_by_batch.iter().collect();
+        assert_eq!(by_batch.len(), 1, "no empty list left behind: {by_batch:?}");
+        assert_eq!((by_batch[0].0, by_batch[0].1.len()), (&BatchId(0), 1));
+
+        sim.run_for(Dur::from_secs(1));
+        let dc2 = sim.node_as::<Dc2Node>(dc2_id);
+        assert_eq!(dc2.stats().coop_failed, 1);
+        assert!(dc2.pending.is_empty());
+        assert!(dc2.pending_by_target.is_empty());
+        assert!(dc2.pending_by_batch.is_empty());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! (§3.4) and participation in cooperative recovery (§4.4).
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 
 use netsim::{Context, Dur, Node, NodeId, Time, TimerId};
 
+use crate::hash::FixedMap;
 use crate::packet::{BatchId, DataPacket, FlowId, Msg, NackReason, SeqNo};
 use crate::recovery::markov::{DetectorConfig, LossDetector};
 use crate::select::ServiceKind;
@@ -108,6 +109,15 @@ impl ReceiverConfig {
     }
 }
 
+/// What the receiver knows about one sequence number of a flow.
+#[derive(Clone, Copy, Default)]
+struct SeqState {
+    /// The first arrival, if any.
+    delivered: Option<DeliveryRecord>,
+    /// When the (one) NACK for it was sent, if any.
+    nacked_at: Option<Time>,
+}
+
 struct FlowState {
     service: ServiceKind,
     dc2: NodeId,
@@ -115,9 +125,15 @@ struct FlowState {
     detector: LossDetector,
     timer: Option<TimerId>,
     consecutive_timeouts: u32,
-    store: BTreeMap<SeqNo, DataPacket>,
-    delivered: BTreeMap<SeqNo, DeliveryRecord>,
-    nacked_at: HashMap<SeqNo, Time>,
+    /// The copies kept for cooperative recovery — the `store_limit` highest
+    /// sequence numbers seen — as a window: slot `i` is `store_base + i`.
+    store: VecDeque<Option<DataPacket>>,
+    store_base: SeqNo,
+    stored: usize,
+    /// Indexed by sequence number: a sender numbers its packets densely from
+    /// zero, so a slot per number up to the highest seen or NACKed is smaller
+    /// and faster than two keyed maps.
+    seqs: Vec<SeqState>,
     recovery_delays: Vec<(SeqNo, Dur)>,
     stats: ReceiverFlowStats,
     saw_any_packet: bool,
@@ -127,12 +143,54 @@ impl FlowState {
     fn uses_recovery(&self) -> bool {
         matches!(self.service, ServiceKind::Caching | ServiceKind::Coding)
     }
+
+    fn seq(&self, seq: SeqNo) -> SeqState {
+        self.seqs.get(seq as usize).copied().unwrap_or_default()
+    }
+
+    fn seq_mut(&mut self, seq: SeqNo) -> &mut SeqState {
+        let slot = seq as usize;
+        if slot >= self.seqs.len() {
+            self.seqs.resize(slot + 1, SeqState::default());
+        }
+        &mut self.seqs[slot]
+    }
+
+    fn stored(&self, seq: SeqNo) -> Option<&DataPacket> {
+        let slot = seq.checked_sub(self.store_base)?;
+        self.store.get(slot as usize)?.as_ref()
+    }
+
+    /// Keeps a copy of `packet`, then drops the lowest sequence numbers held
+    /// until at most `limit` copies remain.
+    fn remember(&mut self, packet: DataPacket, limit: usize) {
+        if self.store.is_empty() {
+            self.store_base = packet.seq;
+        }
+        while packet.seq < self.store_base {
+            self.store.push_front(None);
+            self.store_base -= 1;
+        }
+        let slot = (packet.seq - self.store_base) as usize;
+        if slot >= self.store.len() {
+            self.store.resize(slot + 1, None);
+        }
+        if self.store[slot].replace(packet).is_none() {
+            self.stored += 1;
+        }
+        // Evict from the low end, then trim the gaps behind it: the front
+        // slot of a non-empty window is always a held copy.
+        while self.stored > limit || matches!(self.store.front(), Some(None)) {
+            self.stored -= self.store.pop_front().flatten().is_some() as usize;
+            self.store_base += 1;
+        }
+    }
 }
 
 /// The receiving end host, possibly terminating several flows.
 pub struct ReceiverNode {
     config: ReceiverConfig,
-    flows: HashMap<FlowId, FlowState>,
+    flows: FixedMap<FlowId, FlowState>,
 }
 
 impl ReceiverNode {
@@ -140,7 +198,7 @@ impl ReceiverNode {
     pub fn new(config: ReceiverConfig) -> Self {
         ReceiverNode {
             config,
-            flows: HashMap::new(),
+            flows: FixedMap::default(),
         }
     }
 
@@ -155,9 +213,10 @@ impl ReceiverNode {
                 detector: LossDetector::new(self.config.detector),
                 timer: None,
                 consecutive_timeouts: 0,
-                store: BTreeMap::new(),
-                delivered: BTreeMap::new(),
-                nacked_at: HashMap::new(),
+                store: VecDeque::new(),
+                store_base: 0,
+                stored: 0,
+                seqs: Vec::new(),
                 recovery_delays: Vec::new(),
                 stats: ReceiverFlowStats::default(),
                 saw_any_packet: false,
@@ -174,7 +233,12 @@ impl ReceiverNode {
     pub fn deliveries(&self, flow: FlowId) -> Vec<(SeqNo, DeliveryRecord)> {
         self.flows
             .get(&flow)
-            .map(|f| f.delivered.iter().map(|(s, r)| (*s, *r)).collect())
+            .map(|f| {
+                (0..)
+                    .zip(&f.seqs)
+                    .filter_map(|(seq, s)| Some((seq, s.delivered?)))
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
@@ -191,8 +255,7 @@ impl ReceiverNode {
     pub fn was_delivered(&self, flow: FlowId, seq: SeqNo) -> bool {
         self.flows
             .get(&flow)
-            .map(|f| f.delivered.contains_key(&seq))
-            .unwrap_or(false)
+            .is_some_and(|f| f.seq(seq).delivered.is_some())
     }
 
     /// Flows registered at this receiver.
@@ -210,10 +273,11 @@ impl ReceiverNode {
         if !flow_state.uses_recovery() {
             return;
         }
-        if flow_state.delivered.contains_key(&seq) || flow_state.nacked_at.contains_key(&seq) {
+        let known = flow_state.seq(seq);
+        if known.delivered.is_some() || known.nacked_at.is_some() {
             return;
         }
-        flow_state.nacked_at.insert(seq, ctx.now());
+        flow_state.seq_mut(seq).nacked_at = Some(ctx.now());
         flow_state.stats.nacks_sent += 1;
         match reason {
             NackReason::Gap => flow_state.stats.nacks_gap += 1,
@@ -240,35 +304,29 @@ impl ReceiverNode {
         f.saw_any_packet = true;
 
         // Keep a copy for cooperative recovery, bounded in size.
-        f.store.insert(packet.seq, packet.clone());
-        while f.store.len() > config.store_limit {
-            f.store.pop_first();
-        }
+        f.remember(packet.clone(), config.store_limit);
 
         // Record first delivery; later copies are duplicates.
-        if f.delivered.contains_key(&packet.seq) {
+        let state = f.seq_mut(packet.seq);
+        if state.delivered.is_some() {
             f.stats.duplicates += 1;
         } else {
+            state.delivered = Some(DeliveryRecord {
+                sent_at: packet.sent_at,
+                delivered_at: now,
+                method,
+            });
+            // Only NACKs issued after the packet actually existed measure a
+            // loss-detection-to-repair delay; a premature NACK (the receiver
+            // probed ahead of the sender) would otherwise inflate the
+            // recovery-time metric.
+            let nacked = state
+                .nacked_at
+                .filter(|at| method.is_recovery() && *at >= packet.sent_at);
             f.stats.delivered += 1;
-            f.delivered.insert(
-                packet.seq,
-                DeliveryRecord {
-                    sent_at: packet.sent_at,
-                    delivered_at: now,
-                    method,
-                },
-            );
-            if method.is_recovery() {
-                if let Some(nack_time) = f.nacked_at.get(&packet.seq) {
-                    // Only NACKs issued after the packet actually existed
-                    // measure a loss-detection-to-repair delay; a premature
-                    // NACK (the receiver probed ahead of the sender) would
-                    // otherwise inflate the recovery-time metric.
-                    if *nack_time >= packet.sent_at {
-                        f.recovery_delays
-                            .push((packet.seq, now.saturating_since(*nack_time)));
-                    }
-                }
+            if let Some(nack_time) = nacked {
+                f.recovery_delays
+                    .push((packet.seq, now.saturating_since(nack_time)));
             }
         }
 
@@ -309,9 +367,7 @@ impl ReceiverNode {
         let mut supplied = Vec::new();
         for (flow, seq) in &needed {
             if let Some(f) = self.flows.get(flow) {
-                if let Some(p) = f.store.get(seq) {
-                    supplied.push(p.clone());
-                }
+                supplied.extend(f.stored(*seq).cloned());
             }
         }
         // Account the answer on the first flow involved (per-flow attribution
@@ -427,6 +483,8 @@ mod tests {
     use bytes::Bytes;
     use netsim::LinkSpec;
     use netsim::Simulator;
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+    use std::collections::BTreeMap;
 
     /// A scripted DC2 stand-in recording NACKs and serving recoveries.
     struct FakeDc2 {
@@ -696,5 +754,107 @@ mod tests {
         let nacks = &sim.node_as::<FakeDc2>(dc2).nacks;
         // Two timeout windows of eight NACKs each is the configured ceiling.
         assert!(nacks.len() <= 16, "unbounded NACK storm: {}", nacks.len());
+    }
+
+    #[test]
+    fn out_of_order_and_duplicate_arrivals_keep_deliveries_sorted() {
+        // 0, 3 (gap: NACKs 1 and 2), then 1 late, 3 again, 2 never.
+        let schedule = vec![
+            (Dur::from_millis(1), data(1, 0, 0)),
+            (Dur::from_millis(4), data(1, 3, 3)),
+            (Dur::from_millis(6), data(1, 1, 1)),
+            (Dur::from_millis(8), data(1, 3, 3)),
+        ];
+        let (mut sim, recv, dc2) = setup(ServiceKind::Coding, schedule, vec![]);
+        sim.run_for(Dur::from_millis(20));
+        let r = sim.node_as::<ReceiverNode>(recv);
+        let stats = r.flow_stats(FlowId(1)).unwrap();
+        assert_eq!((stats.delivered, stats.duplicates), (3, 1));
+        assert_eq!(stats.nacks_gap, 2);
+        let deliveries = r.deliveries(FlowId(1));
+        let seqs: Vec<SeqNo> = deliveries.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, [0, 1, 3], "ordered by sequence, not by arrival");
+        // The first copy of 3 is the one on record (feeder link: 1 ms).
+        assert_eq!(deliveries[2].1.delivered_at, Time::from_millis(5));
+        assert_eq!(deliveries[2].1.method, DeliveryMethod::Direct);
+        assert!(!r.was_delivered(FlowId(1), 2));
+        assert!(!r.was_delivered(FlowId(1), 4_000_000));
+        let gap_nacks: Vec<SeqNo> = sim
+            .node_as::<FakeDc2>(dc2)
+            .nacks
+            .iter()
+            .map(|(_, seq, _)| *seq)
+            .collect();
+        assert_eq!(gap_nacks, [1, 2]);
+    }
+
+    #[test]
+    fn timeout_window_reaches_past_the_highest_sequence_seen() {
+        // Three packets, then silence: the timer NACKs 3..=10, none of which
+        // the receiver has any record of yet; 4 is then served back and is
+        // delivered with a recovery delay, the rest stay undelivered.
+        let schedule: Vec<(Dur, Msg)> = (0..3u64)
+            .map(|s| (Dur::from_millis(5 * s + 1), data(1, s, 0)))
+            .collect();
+        let (mut sim, recv, dc2) = setup(ServiceKind::Coding, schedule, vec![4]);
+        sim.run_for(Dur::from_secs(2));
+        let nacked: Vec<SeqNo> = sim
+            .node_as::<FakeDc2>(dc2)
+            .nacks
+            .iter()
+            .map(|(_, seq, _)| *seq)
+            .collect();
+        assert_eq!(&nacked[..8], [3, 4, 5, 6, 7, 8, 9, 10]);
+        let mut once = nacked.clone();
+        once.sort_unstable();
+        once.dedup();
+        assert_eq!(
+            once.len(),
+            nacked.len(),
+            "one NACK per sequence: {nacked:?}"
+        );
+        let r = sim.node_as::<ReceiverNode>(recv);
+        let seqs: Vec<SeqNo> = r.deliveries(FlowId(1)).iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, [0, 1, 2, 4]);
+        let delays = r.recovery_delays(FlowId(1));
+        assert_eq!(delays, [(4, Dur::from_millis(20))]);
+    }
+
+    fn flow_state() -> FlowState {
+        let mut receiver = ReceiverNode::new(ReceiverConfig::prototype(Dur::from_millis(150)));
+        receiver.register_flow(FlowId(1), ServiceKind::Coding, NodeId(0));
+        receiver.flows.remove(&FlowId(1)).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The window keeps what the `BTreeMap` it replaced kept: the
+        /// `limit` highest sequence numbers seen, latest copy of each.
+        #[test]
+        fn store_window_matches_an_ordered_map(
+            seqs in proptest::collection::vec(0u64..40, 1..120),
+            base in 0u64..1000,
+            limit in 1usize..12,
+        ) {
+            let mut f = flow_state();
+            let mut model: BTreeMap<SeqNo, u64> = BTreeMap::new();
+            for (stamp, seq) in seqs.iter().enumerate() {
+                let seq = base + seq;
+                let packet = DataPacket::synthetic(FlowId(1), seq, 8, Time::from_millis(stamp as u64));
+                f.remember(packet, limit);
+                model.insert(seq, stamp as u64);
+                while model.len() > limit {
+                    model.pop_first();
+                }
+                prop_assert_eq!(f.stored, model.len());
+                prop_assert!(f.store.len() <= 40);
+                for probe in base.saturating_sub(2)..base + 42 {
+                    let held = f.stored(probe).map(|p| (p.seq, p.sent_at));
+                    let expected = model.get(&probe).map(|s| (probe, Time::from_millis(*s)));
+                    prop_assert_eq!(held, expected);
+                }
+            }
+        }
     }
 }

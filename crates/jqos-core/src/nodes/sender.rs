@@ -33,6 +33,9 @@ pub struct SenderNode {
     source: Box<dyn TrafficSource>,
     next_seq: SeqNo,
     sent_log: Vec<(SeqNo, Time, usize)>,
+    /// Every payload is a view of this one zero-filled slab (content does
+    /// not matter to a synthetic workload), regrown when a packet outsizes it.
+    zeros: Bytes,
     stats: SenderStats,
     finished: bool,
 }
@@ -47,6 +50,7 @@ impl SenderNode {
             source,
             next_seq: 0,
             sent_log: Vec::new(),
+            zeros: Bytes::new(),
             stats: SenderStats::default(),
             finished: false,
         }
@@ -89,10 +93,13 @@ impl SenderNode {
         let seq = self.next_seq;
         self.next_seq += 1;
         let now = ctx.now();
+        if size > self.zeros.len() {
+            self.zeros = Bytes::from(vec![0u8; size.next_power_of_two()]);
+        }
         let packet = DataPacket {
             flow: self.spec.flow,
             seq,
-            payload: Bytes::from(vec![0u8; size]),
+            payload: self.zeros.slice(0..size),
             sent_at: now,
         };
         self.sent_log.push((seq, now, size));

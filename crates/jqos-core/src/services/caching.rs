@@ -6,10 +6,11 @@
 //! timeout after which it is evicted; the cache is also bounded in size and
 //! evicts the oldest entries first when full.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use netsim::{Dur, Time};
 
+use crate::hash::FixedMap;
 use crate::packet::{DataPacket, FlowId, SeqNo};
 
 /// Configuration of a packet cache.
@@ -63,7 +64,7 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct PacketCache {
     config: CacheConfig,
-    by_flow: HashMap<FlowId, BTreeMap<SeqNo, (DataPacket, Time)>>,
+    by_flow: FixedMap<FlowId, BTreeMap<SeqNo, (DataPacket, Time)>>,
     insertion_order: VecDeque<(FlowId, SeqNo, Time)>,
     len: usize,
     stats: CacheStats,
@@ -74,7 +75,7 @@ impl PacketCache {
     pub fn new(config: CacheConfig) -> Self {
         PacketCache {
             config,
-            by_flow: HashMap::new(),
+            by_flow: FixedMap::default(),
             insertion_order: VecDeque::new(),
             len: 0,
             stats: CacheStats::default(),

@@ -303,6 +303,101 @@ fn scenario_reports_are_identical_across_queue_backends() {
     assert_eq!(run(QueueKind::Heap), run(QueueKind::Calendar));
 }
 
+/// Set in the environment of the two children the test below spawns: it
+/// turns this test binary's run of that test into "print one digest line".
+const REPLAY_CHILD: &str = "JQOS_E2E_REPLAY_CHILD";
+
+/// FNV-1a over the `Debug` rendering — every per-packet outcome and every
+/// counter — of a quick CR-WAN-shaped run (six ON/OFF coding flows on a
+/// bursty PlanetLab-like path) and a quick Skype-shaped one (a video call
+/// through an outage beside three slow background flows, whose every packet
+/// is NACKed ahead of time, parked at DC2 and promoted by its batch).
+fn replay_digest() -> u64 {
+    let path = &planetlab_paths(2020)[3];
+    let lossy = |ms: f64, loss: LossSpec| LinkSpec::symmetric(Dur::from_millis_f64(ms)).loss(loss);
+    let mut crwan = Scenario::new(31)
+        .with_topology(
+            Topology::lossless(
+                Dur::from_millis_f64(path.y_ms),
+                Dur::from_millis_f64(path.delta_s_ms),
+                Dur::from_millis_f64(path.x_ms),
+                Dur::from_millis_f64(path.delta_r_ms),
+            )
+            .receiver_access_loss(LossSpec::Bernoulli(0.004)),
+        )
+        .with_coding(CodingParams::planetlab_defaults());
+    for i in 0..6 {
+        crwan = crwan.add_flow_with_path(
+            ServiceKind::Coding,
+            Box::new(OnOffCbrSource::scaled(60, 3)),
+            lossy(
+                path.y_ms * (0.8 + 0.1 * i as f64),
+                LossSpec::bursty(0.02, 4.0),
+            ),
+        );
+    }
+
+    let call = Dur::from_secs(16);
+    let outage = LossSpec::Outage(vec![(Time::from_secs(6), Time::from_secs(9))]);
+    let mut skype = Scenario::new(32)
+        .with_topology(Topology::wide_area(LossSpec::Compound(vec![
+            LossSpec::Bernoulli(0.001),
+            outage,
+        ])))
+        .with_coding(CodingParams::skype_case_study())
+        .add_flow(
+            ServiceKind::Coding,
+            Box::new(VideoSource::new(VideoConfig::skype_call_with_fec(call))),
+        );
+    for _ in 0..3 {
+        skype = skype.add_flow_with_path(
+            ServiceKind::Coding,
+            Box::new(VideoSource::new(VideoConfig::background_200kbps(call))),
+            lossy(70.0, LossSpec::Bernoulli(0.002)),
+        );
+    }
+
+    let reports = [crwan.run(Dur::from_secs(12)), skype.run(call)];
+    for report in &reports {
+        assert!(report.dc2.coop_recovered > 0, "{:?}", report.dc2);
+    }
+    assert!(reports[1].dc2.waiting_promoted > 0, "{:?}", reports[1].dc2);
+    format!("{reports:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Two fresh processes — each with its own `HashMap` seeds, allocator
+/// layout and thread ids — replay the same reports as this one.  In-process
+/// replays cannot see an iteration order that is stable within a process
+/// and different in the next; that is how DC2's parked-NACK order went
+/// unnoticed until the benchmark replayed `crwan` in a child process.
+#[test]
+fn scenario_reports_replay_across_processes() {
+    const LINE: &str = "replay-digest ";
+    if std::env::var_os(REPLAY_CHILD).is_some() {
+        println!("{LINE}{:016x}", replay_digest());
+        return;
+    }
+    let child = || {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["scenario_reports_replay_across_processes", "--exact"])
+            .args(["--nocapture", "--test-threads", "1"])
+            .env(REPLAY_CHILD, "1")
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "child failed: {stdout}");
+        let at = stdout.find(LINE).expect("child prints its digest") + LINE.len();
+        stdout[at..at + 16].to_owned()
+    };
+    let (first, second) = (child(), child());
+    assert_eq!(first, second, "two processes, two different reports");
+    assert_eq!(first, format!("{:016x}", replay_digest()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
