@@ -15,53 +15,56 @@
 //! 1-thread and N-thread executions by the usual baseline replay).
 
 use crate::harness::{run_suite, section, sized, write_json, Series, SweepTiming};
+use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
-use serde::Serialize;
 use workloads::population::{class_catalog, run_city, CityConfig};
 
-#[derive(Serialize)]
-struct CityClassRow {
-    class: String,
-    service: String,
-    users: u64,
-    arrivals: u64,
-    peak_hour_arrivals: u64,
-    slo_attainment: f64,
-    latency_p50_ms: f64,
-    latency_p99_ms: f64,
-    burst_loss_packets: u64,
-    cost_per_hour: f64,
+json_struct! {
+    struct CityClassRow {
+        class: String,
+        service: String,
+        users: u64,
+        arrivals: u64,
+        peak_hour_arrivals: u64,
+        slo_attainment: f64,
+        latency_p50_ms: f64,
+        latency_p99_ms: f64,
+        burst_loss_packets: u64,
+        cost_per_hour: f64,
+    }
 }
 
-#[derive(Serialize)]
-struct CityPointRow {
-    label: String,
-    city: String,
-    population: u64,
-    diurnal_phase_hours: f64,
-    flash_crowd: String,
-    seed: u64,
-    total_arrivals: u64,
-    slo_attainment: f64,
-    cost_per_hour: f64,
-    classes: Vec<CityClassRow>,
-    /// FNV-1a digest of the full `CityReport`, hex (the vendored serde_json
-    /// narrows big integers through f64, so it travels as a string).
-    digest: String,
+json_struct! {
+    struct CityPointRow {
+        label: String,
+        city: String,
+        population: u64,
+        diurnal_phase_hours: f64,
+        flash_crowd: String,
+        seed: u64,
+        total_arrivals: u64,
+        slo_attainment: f64,
+        cost_per_hour: f64,
+        classes: Vec<CityClassRow>,
+        /// FNV-1a digest of the full `CityReport`, hex (JSON numbers travel
+        /// as f64, see [`crate::json`]).
+        digest: String,
+    }
 }
 
-#[derive(Serialize)]
-struct CitySweepDoc {
-    schema: &'static str,
-    quick_mode: bool,
-    master_seed: String,
-    observed_hours: u32,
-    reps_per_class: usize,
-    sim_duration_ms: u64,
-    class_count: usize,
-    points: Vec<CityPointRow>,
-    timing: SweepTiming,
+json_struct! {
+    struct CitySweepDoc {
+        schema: &'static str,
+        quick_mode: bool,
+        master_seed: String,
+        observed_hours: u32,
+        reps_per_class: usize,
+        sim_duration_ms: u64,
+        class_count: usize,
+        points: Vec<CityPointRow>,
+        timing: SweepTiming,
+    }
 }
 
 /// The city-axis entries of the grid: populations × diurnal phases ×

@@ -14,25 +14,27 @@
 //! therefore not byte-reproducible.
 
 use crate::harness::{environment, section, sized, write_json, Environment};
+use crate::json::json_struct;
 use jqos_core::coding::engine::{EncodingEngine, EngineConfig};
 use jqos_core::{ExperimentSuite, SweepGrid};
 use netsim::stats::PointStats;
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct ScalingPoint {
-    threads: usize,
-    ingress_kpps: f64,
-    egress_kpps: f64,
-    speedup_vs_one_thread: f64,
+json_struct! {
+    struct ScalingPoint {
+        threads: usize,
+        ingress_kpps: f64,
+        egress_kpps: f64,
+        speedup_vs_one_thread: f64,
+    }
 }
 
-/// The `fig10_encoding_scaling.json` document.  Its data *is* timing, so it
-/// says which machine (and how many cores) drew it.
-#[derive(Serialize)]
-struct ScalingReport {
-    environment: Environment,
-    points: Vec<ScalingPoint>,
+json_struct! {
+    /// The `fig10_encoding_scaling.json` document.  Its data *is* timing, so
+    /// it says which machine (and how many cores) drew it.
+    struct ScalingReport {
+        environment: Environment,
+        points: Vec<ScalingPoint>,
+    }
 }
 
 /// Runs the Figure 10 suite, always on one sweep worker (see module docs).

@@ -24,28 +24,29 @@
 use std::collections::BTreeMap;
 
 use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::json::json_struct;
 use jqos_core::coding::fec_whatif::{crwan_cloud_recovery, fec_on_path, percent_increase};
 use jqos_core::nodes::receiver::DeliveryMethod;
 use jqos_core::prelude::*;
 use measurements::planetlab::{planetlab_paths, PlanetLabPath};
 use netsim::stats::PointStats;
-use serde::Serialize;
 use workloads::cbr::OnOffCbrSource;
 
-#[derive(Serialize)]
-struct PathResult {
-    index: usize,
-    region: String,
-    rtt_ms: f64,
-    loss_rate: f64,
-    lost_on_direct: usize,
-    recovered: usize,
-    recovery_rate: f64,
-    episode_contribution: (f64, f64, f64),
-    recovery_delay_fractions: Vec<f64>,
-    fec_increase_20: f64,
-    fec_increase_40: f64,
-    fec_increase_100: f64,
+json_struct! {
+    struct PathResult {
+        index: usize,
+        region: String,
+        rtt_ms: f64,
+        loss_rate: f64,
+        lost_on_direct: usize,
+        recovered: usize,
+        recovery_rate: f64,
+        episode_contribution: (f64, f64, f64),
+        recovery_delay_fractions: Vec<f64>,
+        fec_increase_20: f64,
+        fec_increase_40: f64,
+        fec_increase_100: f64,
+    }
 }
 
 /// Runs one path with the given number of cross-stream coded packets and

@@ -21,10 +21,10 @@
 //! comparison (CR-WAN uses a small fraction of forwarding's cloud bytes).
 
 use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
 use qoe::{fraction_below, frames_from_packet_flags, PsnrModel};
-use serde::Serialize;
 use workloads::mobile::MobileProfile;
 use workloads::video::{VideoConfig, VideoSource};
 
@@ -37,15 +37,16 @@ const CONFIGS: [(&str, ServiceKind, bool); 4] = [
     ("CR-WAN-Mobile", ServiceKind::Coding, true),
 ];
 
-#[derive(Serialize)]
-struct SkypeResult {
-    label: String,
-    mean_psnr: f64,
-    bad_frame_fraction: f64,
-    delivered_fraction: f64,
-    cloud_bytes: u64,
-    cloud_packets: u64,
-    coded_bytes: u64,
+json_struct! {
+    struct SkypeResult {
+        label: String,
+        mean_psnr: f64,
+        bad_frame_fraction: f64,
+        delivered_fraction: f64,
+        cloud_bytes: u64,
+        cloud_packets: u64,
+        coded_bytes: u64,
+    }
 }
 
 fn outage_loss(call_secs: u64) -> LossSpec {

@@ -12,26 +12,37 @@
 //! pattern.
 
 use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::json::json_struct;
 use jqos_core::packet::NackReason;
 use jqos_core::prelude::*;
 use jqos_core::recovery::markov::{DetectorConfig, DetectorState, LossDetector};
 use netsim::stats::PointStats;
-use serde::Serialize;
 use transport::harness::{run_web_transfers, TransferBatch, WebExperimentConfig};
 use transport::minitcp::JqosAssist;
 
-#[derive(Serialize)]
-struct TcpResult {
-    label: String,
-    transfers: usize,
-    p50_s: f64,
-    p90_s: f64,
-    p99_s: f64,
-    p999_s: f64,
-    max_s: f64,
-    tail_reduction_vs_internet_pct: f64,
-    timeouts: u64,
-    retransmissions: u64,
+json_struct! {
+    struct TcpResult {
+        label: String,
+        transfers: usize,
+        p50_s: f64,
+        p90_s: f64,
+        p99_s: f64,
+        p999_s: f64,
+        max_s: f64,
+        tail_reduction_vs_internet_pct: f64,
+        timeouts: u64,
+        retransmissions: u64,
+    }
+}
+
+json_struct! {
+    /// The `sec64_nack_ablation.json` document: NACK timeouts of the
+    /// two-state detector against a single fixed timeout.
+    struct NackAblation {
+        two_state: u64,
+        single_timeout: u64,
+        reduction_factor: f64,
+    }
 }
 
 fn run_mode(label: &str, assist: JqosAssist, transfers: usize, seed: u64) -> PointStats {
@@ -207,10 +218,10 @@ pub fn run(threads: usize, baseline: bool) {
     println!("  -> reduction factor: {ratio:.1}x (paper: ~5x fewer NACKs)");
     write_json(
         "sec64_nack_ablation",
-        &serde_json::json!({
-            "two_state": two_state,
-            "single_timeout": single,
-            "reduction_factor": ratio,
-        }),
+        &NackAblation {
+            two_state,
+            single_timeout: single,
+            reduction_factor: ratio,
+        },
     );
 }

@@ -15,9 +15,9 @@
 //! usual baseline replay).
 
 use crate::harness::{run_suite, section, sized, write_json, Series, SweepTiming};
+use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
-use serde::Serialize;
 
 /// The paper's cloud/Internet relative-cost parameter used for the
 /// service-mix cost metric.
@@ -33,59 +33,62 @@ const FLOW_MIX: [(ServiceKind, u64); 3] = [
     (ServiceKind::Forwarding, 200),
 ];
 
-#[derive(Serialize)]
-struct FleetPointRow {
-    label: String,
-    fleet_size: usize,
-    placement: String,
-    seed: u64,
-    flows: usize,
-    flows_placed: usize,
-    evictions: usize,
-    flows_relocated: usize,
-    flows_dropped_fleet_empty: usize,
-    flows_dropped_no_capacity: usize,
-    relocation_latencies_ms: Vec<f64>,
-    sent: usize,
-    delivered: usize,
-    recovered: usize,
-    delivery_rate: f64,
-    service_mix_cost: f64,
-    /// FNV-1a digest of the full [`FleetReport`], hex (the vendored
-    /// serde_json narrows big integers through f64, so it travels as a
-    /// string).
-    digest: String,
+json_struct! {
+    struct FleetPointRow {
+        label: String,
+        fleet_size: usize,
+        placement: String,
+        seed: u64,
+        flows: usize,
+        flows_placed: usize,
+        evictions: usize,
+        flows_relocated: usize,
+        flows_dropped_fleet_empty: usize,
+        flows_dropped_no_capacity: usize,
+        relocation_latencies_ms: Vec<f64>,
+        sent: usize,
+        delivered: usize,
+        recovered: usize,
+        delivery_rate: f64,
+        service_mix_cost: f64,
+        /// FNV-1a digest of the full [`FleetReport`], hex (JSON numbers
+        /// travel as f64, see [`crate::json`]).
+        digest: String,
+    }
 }
 
-#[derive(Serialize)]
-struct StrategySummary {
-    placement: String,
-    points: usize,
-    flows_relocated: usize,
-    flows_dropped: usize,
-    relocation_latency_ms_mean: f64,
-    service_mix_cost_mean: f64,
-    delivery_rate_mean: f64,
+json_struct! {
+    struct StrategySummary {
+        placement: String,
+        points: usize,
+        flows_relocated: usize,
+        flows_dropped: usize,
+        relocation_latency_ms_mean: f64,
+        service_mix_cost_mean: f64,
+        delivery_rate_mean: f64,
+    }
 }
 
-#[derive(Serialize)]
-struct FailureInfo {
-    dc: u32,
-    at_ms: u64,
+json_struct! {
+    struct FailureInfo {
+        dc: u32,
+        at_ms: u64,
+    }
 }
 
-#[derive(Serialize)]
-struct FleetSweepDoc {
-    schema: &'static str,
-    quick_mode: bool,
-    master_seed: String,
-    duration_ms: u64,
-    alpha: f64,
-    flows_per_point: usize,
-    failure: FailureInfo,
-    strategies: Vec<StrategySummary>,
-    points: Vec<FleetPointRow>,
-    timing: SweepTiming,
+json_struct! {
+    struct FleetSweepDoc {
+        schema: &'static str,
+        quick_mode: bool,
+        master_seed: String,
+        duration_ms: u64,
+        alpha: f64,
+        flows_per_point: usize,
+        failure: FailureInfo,
+        strategies: Vec<StrategySummary>,
+        points: Vec<FleetPointRow>,
+        timing: SweepTiming,
+    }
 }
 
 /// The fleet-axis entries of the grid: sizes × strategies, every entry with

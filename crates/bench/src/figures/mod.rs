@@ -13,7 +13,6 @@
 //! | `66`        | [`sec66`] — deployment cost + coding overhead    |
 //! | `fleet`     | [`fleet`] — DC-fleet failover control plane      |
 //! | `city`      | [`city`] — city-scale populations by flow class  |
-//! | `stress`    | [`stress`] — netsim scheduler stress             |
 
 pub mod city;
 pub mod fig10;
@@ -24,16 +23,13 @@ pub mod fig9b;
 pub mod fleet;
 pub mod sec65;
 pub mod sec66;
-pub mod stress;
 
 /// The figure ids `run_figure` accepts.
-pub const FIGURE_IDS: [&str; 10] = [
-    "7", "8", "9a", "9b", "10", "65", "66", "fleet", "city", "stress",
-];
+pub const FIGURE_IDS: [&str; 9] = ["7", "8", "9a", "9b", "10", "65", "66", "fleet", "city"];
 
 /// Runs the suite behind one figure id on `threads` sweep workers, replaying
-/// it on one thread to prove determinism when `baseline` is set (figures 10
-/// and `stress` time whole runs and take neither).  Returns `false` for an
+/// it on one thread to prove determinism when `baseline` is set (figure 10
+/// times whole runs and takes neither).  Returns `false` for an
 /// unknown id.
 pub fn run_figure(fig: &str, threads: usize, baseline: bool) -> bool {
     match fig
@@ -50,7 +46,6 @@ pub fn run_figure(fig: &str, threads: usize, baseline: bool) -> bool {
         "66" | "6.6" => sec66::run(threads, baseline),
         "fleet" => fleet::run(threads, baseline),
         "city" => city::run(threads, baseline),
-        "stress" => stress::run(),
         _ => return false,
     }
     true

@@ -13,22 +13,23 @@
 //! the video workload over both LTE profiles as a two-point sweep grid.
 
 use crate::harness::{run_suite, section, sized, write_json};
+use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
-use serde::Serialize;
 use workloads::mobile::MobileProfile;
 use workloads::video::{VideoConfig, VideoSource};
 
-#[derive(Serialize)]
-struct MobileReport {
-    uplink_mbps: f64,
-    duplication_fits_hd: bool,
-    duplication_headroom_mbps: f64,
-    battery_cost_20min_call_mah: f64,
-    median_dc_rtt_ms: f64,
-    p90_dc_rtt_ms: f64,
-    recovery_rate: f64,
-    recovery_p95_ms: f64,
+json_struct! {
+    struct MobileReport {
+        uplink_mbps: f64,
+        duplication_fits_hd: bool,
+        duplication_headroom_mbps: f64,
+        battery_cost_20min_call_mah: f64,
+        median_dc_rtt_ms: f64,
+        p90_dc_rtt_ms: f64,
+        recovery_rate: f64,
+        recovery_p95_ms: f64,
+    }
 }
 
 /// Runs the §6.5 suite on `threads` sweep workers.

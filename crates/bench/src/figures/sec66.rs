@@ -11,25 +11,27 @@
 //!    threads so the reported overhead is not a single-realisation artefact.
 
 use crate::harness::{run_suite, section, sized, write_json};
+use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct CostRow {
-    service: String,
-    bandwidth_per_hour: f64,
-    compute_per_hour: f64,
-    total_per_hour: f64,
+json_struct! {
+    struct CostRow {
+        service: String,
+        bandwidth_per_hour: f64,
+        compute_per_hour: f64,
+        total_per_hour: f64,
+    }
 }
 
-#[derive(Serialize)]
-struct OverheadResult {
-    streams: usize,
-    replicates: usize,
-    coding_rate: f64,
-    recovery_rate: f64,
-    coded_byte_overhead: f64,
+json_struct! {
+    struct OverheadResult {
+        streams: usize,
+        replicates: usize,
+        coding_rate: f64,
+        recovery_rate: f64,
+        coded_byte_overhead: f64,
+    }
 }
 
 /// Runs the §6.6 suite on `threads` sweep workers.

@@ -5,7 +5,8 @@ use std::path::PathBuf;
 
 use jqos_core::{ExperimentSuite, SuiteReport, SweepPoint};
 use netsim::stats::{Cdf, PointStats};
-use serde::Serialize;
+
+use crate::json::{json_struct, pretty, ToJson};
 
 /// Where figure data files are written.
 pub fn figures_dir() -> PathBuf {
@@ -36,33 +37,33 @@ pub fn sized(full: usize, quick: usize) -> usize {
 
 /// Writes a JSON document describing one figure's data series under
 /// [`figures_dir`].
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+pub fn write_json<T: ToJson>(name: &str, value: &T) {
     let path = figures_dir().join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).expect("serialise figure data");
-    fs::write(&path, &body).expect("write figure data");
+    fs::write(&path, pretty(value)).expect("write figure data");
     println!("  [data written to {}]", path.display());
 }
 
-/// The machine and build that produced a document, so a wall-clock in it can
-/// be read.  Same field names as the benchmark's environment stamp
-/// (`benchmark/src/procfs.rs`), plus `quick_mode`; a field that cannot be
-/// read says `unknown`.
-#[derive(Serialize)]
-pub struct Environment {
-    /// Cores available to this process.
-    pub nproc: usize,
-    /// `model name` of the first CPU in `/proc/cpuinfo`.
-    pub cpu_model: String,
-    /// The SIMD feature flags the coding kernel dispatches on.
-    pub cpu_flags: String,
-    /// Kernel release.
-    pub kernel: String,
-    /// `rustc -V`.
-    pub rustc: String,
-    /// Short hash of the checked-out commit.
-    pub git_rev: String,
-    /// Whether `JQOS_QUICK` shrank the run.
-    pub quick_mode: bool,
+json_struct! {
+    /// The machine and build that produced a document, so a wall-clock in it
+    /// can be read.  Same field names as the benchmark's environment stamp
+    /// (`benchmark/src/procfs.rs`), plus `quick_mode`; a field that cannot
+    /// be read says `unknown`.
+    pub struct Environment {
+        /// Cores available to this process.
+        pub nproc: usize,
+        /// `model name` of the first CPU in `/proc/cpuinfo`.
+        pub cpu_model: String,
+        /// The SIMD feature flags the coding kernel dispatches on.
+        pub cpu_flags: String,
+        /// Kernel release.
+        pub kernel: String,
+        /// `rustc -V`.
+        pub rustc: String,
+        /// Short hash of the checked-out commit.
+        pub git_rev: String,
+        /// Whether `JQOS_QUICK` shrank the run.
+        pub quick_mode: bool,
+    }
 }
 
 /// First `key : value` of `/proc/cpuinfo`-style text.
@@ -122,19 +123,20 @@ pub fn environment() -> Environment {
     }
 }
 
-/// A named distribution, serialised with its CDF points for plotting.
-#[derive(Serialize)]
-pub struct Series {
-    /// Legend label.
-    pub label: String,
-    /// Number of samples behind the series.
-    pub count: usize,
-    /// Mean of the samples.
-    pub mean: f64,
-    /// Selected percentiles (p10 … p99).
-    pub percentiles: Vec<(f64, f64)>,
-    /// Down-sampled `(value, cumulative_fraction)` points.
-    pub cdf: Vec<(f64, f64)>,
+json_struct! {
+    /// A named distribution, serialised with its CDF points for plotting.
+    pub struct Series {
+        /// Legend label.
+        pub label: String,
+        /// Number of samples behind the series.
+        pub count: usize,
+        /// Mean of the samples.
+        pub mean: f64,
+        /// Selected percentiles (p10 … p99).
+        pub percentiles: Vec<(f64, f64)>,
+        /// Down-sampled `(value, cumulative_fraction)` points.
+        pub cdf: Vec<(f64, f64)>,
+    }
 }
 
 impl Series {
@@ -173,42 +175,43 @@ pub fn section(title: &str) {
     println!("=== {title} ===");
 }
 
-/// Wall-clock of one sweep point, as serialised into a [`SweepTiming`].
-#[derive(Serialize)]
-pub struct PointTiming {
-    /// The point's grid label.
-    pub label: String,
-    /// Wall-clock milliseconds the point took.
-    pub wall_ms: f64,
+json_struct! {
+    /// Wall-clock of one sweep point, as serialised into a [`SweepTiming`].
+    pub struct PointTiming {
+        /// The point's grid label.
+        pub label: String,
+        /// Wall-clock milliseconds the point took.
+        pub wall_ms: f64,
+    }
 }
 
-/// Timing summary of one [`ExperimentSuite`] execution: what the figure
-/// cost to draw on the stamped machine, not a speed measurement of the
-/// program (those come from `benchmark/`).
-#[derive(Serialize)]
-pub struct SweepTiming {
-    /// The machine the wall-clocks below were taken on.
-    pub environment: Environment,
-    /// Suite name.
-    pub suite: String,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Number of grid points executed.
-    pub points: usize,
-    /// End-to-end wall-clock of the sweep (ms).
-    pub total_wall_ms: f64,
-    /// Sum of per-point wall-clocks (serial-equivalent work, ms).
-    pub busy_ms: f64,
-    /// `busy_ms / total_wall_ms`: observed parallel speedup.
-    pub effective_parallelism: f64,
-    /// Wall-clock of the 1-thread verification run, when one was made.
-    pub baseline_1thread_ms: Option<f64>,
-    /// `baseline_1thread_ms / total_wall_ms`, when a baseline ran.
-    pub speedup_vs_1thread: Option<f64>,
-    /// Whether the N-thread report was byte-identical to the 1-thread replay.
-    pub deterministic_replay: Option<bool>,
-    /// Per-point wall-clocks, in grid order.
-    pub per_point: Vec<PointTiming>,
+json_struct! {
+    /// Timing summary of one [`ExperimentSuite`] execution: what the figure
+    /// cost to draw on the stamped machine, not a speed measurement of the
+    /// program (those come from `benchmark/`).
+    pub struct SweepTiming {
+        /// The machine the wall-clocks below were taken on.
+        pub environment: Environment,
+        /// Suite name.
+        pub suite: String,
+        /// Worker threads used.
+        pub threads: usize,
+        /// Number of grid points executed.
+        pub points: usize,
+        /// End-to-end wall-clock of the sweep (ms).
+        pub total_wall_ms: f64,
+        /// Sum of per-point wall-clocks (serial-equivalent work, ms).
+        pub busy_ms: f64,
+        /// `busy_ms / total_wall_ms`: observed parallel speedup.
+        pub effective_parallelism: f64,
+        /// Wall-clock of the 1-thread verification run, when one was made.
+        pub baseline_1thread_ms: Option<f64>,
+        /// Whether the N-thread report was byte-identical to the 1-thread
+        /// replay.
+        pub deterministic_replay: Option<bool>,
+        /// Per-point wall-clocks, in grid order.
+        pub per_point: Vec<PointTiming>,
+    }
 }
 
 /// Builds the serialisable timing summary of a finished sweep.
@@ -222,7 +225,6 @@ fn sweep_timing(out: &SuiteReport) -> SweepTiming {
         busy_ms: out.busy_ms(),
         effective_parallelism: out.effective_parallelism(),
         baseline_1thread_ms: None,
-        speedup_vs_1thread: None,
         deterministic_replay: None,
         per_point: out
             .point_labels
@@ -241,10 +243,9 @@ fn sweep_timing(out: &SuiteReport) -> SweepTiming {
 ///
 /// With `baseline` set and more than one worker in use, the sweep is
 /// replayed on a single thread and the two reports are asserted
-/// byte-identical — the deterministic-replay guarantee — with the measured
-/// speedup printed alongside.  The timing summary (baseline fields
-/// included) is returned too, for suites that embed it in their figure
-/// document; no timing-only file is written.
+/// byte-identical — the deterministic-replay guarantee.  The timing
+/// summary (baseline fields included) is returned too, for suites that
+/// embed it in their figure document; no timing-only file is written.
 pub fn run_suite<P, R>(
     suite: &ExperimentSuite<P, R>,
     threads: usize,
@@ -264,18 +265,14 @@ where
     let mut timing = sweep_timing(&out);
     if baseline && out.threads > 1 {
         let baseline = suite.run(1);
-        let speedup = baseline.total_wall_ms / out.total_wall_ms.max(1e-9);
         let identical = baseline.digest() == out.digest();
         println!(
-            "  [sweep {}] 1-thread baseline {:.1} ms -> {:.2}x speedup on {} threads; deterministic replay: {}",
+            "  [sweep {}] 1-thread baseline {:.1} ms; deterministic replay: {}",
             suite.name(),
             baseline.total_wall_ms,
-            speedup,
-            out.threads,
             if identical { "OK" } else { "MISMATCH" },
         );
         timing.baseline_1thread_ms = Some(baseline.total_wall_ms);
-        timing.speedup_vs_1thread = Some(speedup);
         timing.deterministic_replay = Some(identical);
         assert!(
             identical,

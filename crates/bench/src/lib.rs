@@ -14,20 +14,22 @@
 //! | `66`     | §6.6: deployment cost and coding-overhead table                     |
 //! | `fleet`  | DC-fleet failover under the control plane                           |
 //! | `city`   | City-scale populations by flow class                                |
-//! | `stress` | Scheduler stress: heap backend vs calendar queue events/sec         |
 //!
 //! Every suite prints the series it produces and also dumps them as JSON
-//! under `target/figures/` — and nowhere else.  Speed numbers (relay cost and
-//! latency, simulator events/s, encoder rate) are the business of the
-//! standalone benchmark in `benchmark/`, not of this crate.
+//! ([`json`]) under `target/figures/` — and nowhere else.  Speed numbers
+//! (relay cost and latency, simulator events/s, encoder rate) are the
+//! business of the standalone benchmark in `benchmark/`, not of this crate.
 //!
 //! Each figure is defined as an [`jqos_core::ExperimentSuite`] in
 //! [`figures`]: a declarative grid of scenario points executed across worker
 //! threads with deterministic per-point seeding, so an `N`-thread sweep is
 //! byte-identical to a 1-thread replay.  Per-sweep wall-clock timing is
-//! printed, and embedded — with the machine that took it — in the `fleet`,
-//! `city` and `stress` documents.
+//! printed, and embedded — with the machine that took it — in the `fleet`
+//! and `city` documents.  [`stress`] is not a figure: it is the
+//! large-topology scenario the end-to-end tests replay across scheduler
+//! backends and thread counts against golden digests.
 
 pub mod figures;
 pub mod harness;
+pub mod json;
 pub mod stress;

@@ -71,15 +71,6 @@ impl StressConfig {
         }
     }
 
-    /// `full` normally, `quick` under `JQOS_QUICK=1`.
-    pub fn sized(quick_mode: bool) -> Self {
-        if quick_mode {
-            StressConfig::quick()
-        } else {
-            StressConfig::full()
-        }
-    }
-
     /// Returns the config pinned to a specific scheduler backend.
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = queue;

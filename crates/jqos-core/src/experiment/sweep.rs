@@ -231,9 +231,9 @@ where
     }
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..parts).map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 if idx >= parts {
                     break;
@@ -242,8 +242,7 @@ where
                 slots.lock().expect("link-group slot lock")[idx] = Some(result);
             });
         }
-    })
-    .expect("link-group worker panicked");
+    });
     slots
         .into_inner()
         .expect("link-group slot lock")

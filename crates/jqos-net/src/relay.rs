@@ -18,12 +18,11 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use jqos_core::select::PathDelays;
 use netsim::Dur;
-use parking_lot::Mutex;
 use tokio::net::UdpSocket;
 use tokio::task::JoinHandle;
 
@@ -122,7 +121,10 @@ impl ControlState {
                 self.rejected_shard_full.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut hist = self.rejections.lock();
+        let mut hist = self
+            .rejections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if hist.len() >= REJECTION_HISTORY {
             hist.pop_front();
         }
@@ -249,6 +251,7 @@ impl Relay {
                 .control_state
                 .rejections
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .copied()
                 .collect(),
@@ -256,7 +259,7 @@ impl Relay {
             flows: Vec::new(),
         };
         for shard in &self.shards {
-            let flows = shard.flows.lock();
+            let flows = shard.flows.lock().unwrap_or_else(PoisonError::into_inner);
             m.shards
                 .push(shard.counters.snapshot(shard.index, flows.len()));
             for (flow, fs) in flows.iter() {
@@ -318,7 +321,7 @@ async fn run_control(
         let shard_idx = shard_for(flow, cfg.shards);
         let shard = &shards[shard_idx];
         let response = {
-            let mut flows = shard.flows.lock();
+            let mut flows = shard.flows.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(existing) = flows.get(&flow) {
                 // Duplicate register (a retry): re-ack idempotently.
                 ack_for(flow, existing.service, shard_idx, &shard_addrs, &cfg)

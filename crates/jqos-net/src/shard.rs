@@ -32,13 +32,12 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use bytes::Bytes;
 use erasure::packets::BatchCodec;
 use jqos_core::select::ServiceKind;
-use parking_lot::Mutex;
 use tokio::net::UdpSocket;
 
 use crate::metrics::{ShardCounters, ShedReason};
@@ -87,6 +86,10 @@ impl FlowState {
 pub(crate) struct ShardState {
     pub index: usize,
     pub socket: Arc<UdpSocket>,
+    /// Every lock recovers a poisoned guard (`PoisonError::into_inner`) so
+    /// that `Relay::shutdown` still reports metrics after a shard thread
+    /// panicked; they read only each flow's id, service and budget, which
+    /// are written once at registration.
     pub flows: Mutex<HashMap<u32, FlowState>>,
     pub counters: ShardCounters,
 }
@@ -200,7 +203,7 @@ fn ingest(state: &ShardState, cfg: &RelayConfig, scratch: &mut Scratch) -> usize
 
 /// Processes every queued message under one flow-table lock.
 fn process(state: &ShardState, cfg: &RelayConfig, codec: &mut BatchCodec, scratch: &mut Scratch) {
-    let mut flows = state.flows.lock();
+    let mut flows = state.flows.lock().unwrap_or_else(PoisonError::into_inner);
     let queue = std::mem::take(&mut scratch.queue);
     for (msg, from) in &queue {
         match msg {

@@ -8,7 +8,7 @@
 //! * **Heap** — the seed implementation: one `BinaryHeap` storing whole
 //!   [`Event`]s.  Every sift moves the full payload `M`, which for realistic
 //!   message enums is ~100 bytes per level.  Kept as the reference scheduler
-//!   and as the baseline `jqos sweep --fig stress` measures against.
+//!   the replay tests compare the calendar backend against.
 //! * **Calendar** — the hot-loop backend: payloads live in a *slab* (a vector
 //!   with a free list, so slots are recycled without allocation) and the
 //!   scheduler only moves 24-byte keys.  Keys within a sliding time horizon

@@ -213,6 +213,9 @@ fn experiment_suite_is_byte_identical_across_thread_counts() {
     assert!(serial.busy_ms() > 0.0);
 }
 
+/// Master seed of the stress topology's golden digests.
+const STRESS_SEED: u64 = 0x4A51_6F53_5354_5253; // "JQoSSTRS"
+
 /// The stress topology's replay guarantee, end to end: one master seed must
 /// produce the identical `StressReport` with intra-point parallelism off and
 /// on and on both scheduler backends.  The digest is pinned as a golden
@@ -223,22 +226,44 @@ fn experiment_suite_is_byte_identical_across_thread_counts() {
 /// changed, not just the scheduler.
 #[test]
 fn stress_topology_replays_identically_across_engines_and_threads() {
-    const MASTER_SEED: u64 = 0x4A51_6F53_5354_5253; // matches `jqos sweep --fig stress`
     let calendar = StressConfig::quick();
     let heap = calendar.with_queue(QueueKind::Heap);
 
-    let serial = run_stress(&calendar, MASTER_SEED, 1);
+    let serial = run_stress(&calendar, STRESS_SEED, 1);
     assert_eq!(
         serial,
-        run_stress(&calendar, MASTER_SEED, 4),
+        run_stress(&calendar, STRESS_SEED, 4),
         "intra-point parallelism must not change the report"
     );
     assert_eq!(
         serial,
-        run_stress(&heap, MASTER_SEED, 1),
+        run_stress(&heap, STRESS_SEED, 1),
         "old (heap) and new (calendar) queues must replay identically"
     );
     assert_eq!(serial.digest, 0x95be_bfbf_c42f_73d8, "golden stress digest");
+}
+
+/// The same guarantee at full size (~10⁷ events, ~10⁶ in flight), where the
+/// calendar queue runs far outside cache: 1 and 2 intra-point threads give
+/// equal reports, every message is delivered once traffic stops, and the
+/// digest is the golden full-size value.  Sized for a release build (~5 s),
+/// so it is ignored by default; run it with
+/// `cargo test --release --test end_to_end stress_full_size -- --ignored`.
+#[test]
+#[ignore = "full-size stress run: use a release build and --ignored"]
+fn stress_full_size_replays_identically_across_threads() {
+    let full = StressConfig::full();
+    let serial = run_stress(&full, STRESS_SEED, 1);
+    assert_eq!(
+        serial,
+        run_stress(&full, STRESS_SEED, 2),
+        "intra-point parallelism must not change the full-size report"
+    );
+    assert_eq!(serial.messages_sent, serial.messages_delivered);
+    assert_eq!(
+        serial.digest, 0xa2d8_9326_913b_0ccc,
+        "golden full-size stress digest"
+    );
 }
 
 /// The fleet control plane's replay guarantee, pinned: a three-DC fleet with
