@@ -1,11 +1,14 @@
 //! Multiplexed load-generation endpoints.
 //!
-//! A [`LoadWorker`] drives *many* flows over a single non-blocking UDP
-//! socket — hundreds of concurrent flows on one thread, rather than a task
-//! per flow.  Each worker plays both roles of the paper's topology for its
-//! flows: it is the sender (packets go to the relay shard, and — for the
-//! caching/coding services — a "direct Internet path" copy goes to the
-//! worker's own socket) and the receiver (gap detection, NACKs, recovery).
+//! A [`LoadWorker`] drives *many* flows over a single UDP socket —
+//! hundreds of concurrent flows on one thread, rather than a thread per
+//! flow.  It never sleeps to poll: every wait blocks on the socket with a
+//! read timeout that ends at the next thing due (a send, a NACK retry, a
+//! deadline), so a datagram is handled the moment it arrives.  Each worker
+//! plays both roles of the paper's topology for its flows: it is the sender
+//! (packets go to the relay shard, and — for the caching/coding services — a
+//! "direct Internet path" copy goes to the worker's own socket) and the
+//! receiver (gap detection, NACKs, recovery).
 //! It checks that the relay *works*; how fast the relay is, is measured by
 //! the `relay-*` workloads of `benchmark/`.
 //!
@@ -25,17 +28,17 @@
 //!   round of §3.4, collapsed onto one receiver on loopback).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::io;
+use std::io::{self, ErrorKind::TimedOut, ErrorKind::WouldBlock};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use erasure::packets::BatchCodec;
 use jqos_core::select::ServiceKind;
 
-use crate::wire::{service_from_wire, RejectReason, WireMsg};
+use crate::wire::{service_from_wire, RejectReason, Wire, WireMsg, WireView};
 
 /// One flow the worker should run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FlowSpec {
     /// Flow identifier (globally unique across workers).
     pub flow: u32,
@@ -57,12 +60,14 @@ struct Hole {
 }
 
 /// Client-side buffer of one coding batch (received data + parity shards).
+#[derive(Default)]
 struct BatchBuf {
     data: Vec<Option<Vec<u8>>>,
     parity: Vec<Option<Vec<u8>>>,
 }
 
 /// Per-flow client state.
+#[derive(Default)]
 struct ClientFlow {
     spec: FlowSpec,
     service: Option<ServiceKind>,
@@ -89,21 +94,7 @@ impl ClientFlow {
         }
         ClientFlow {
             spec,
-            service: None,
-            rejected: None,
-            shard_addr: None,
-            coding_k: 0,
-            coding_m: 0,
-            next_seq: 0,
-            expected: 0,
-            sent: 0,
-            delivered: 0,
-            recovered: 0,
-            reconstructed: 0,
-            duplicates: 0,
-            received: HashSet::new(),
-            holes: BTreeMap::new(),
-            batches: VecDeque::new(),
+            ..ClientFlow::default()
         }
     }
 
@@ -167,7 +158,7 @@ pub struct WorkerStats {
     pub holes_left: u64,
 }
 
-/// Drives many flows over one non-blocking UDP socket.
+/// Drives many flows over one UDP socket.
 pub struct LoadWorker {
     socket: std::net::UdpSocket,
     self_addr: SocketAddr,
@@ -180,8 +171,7 @@ pub struct LoadWorker {
     send_backpressure: u64,
     buf: Vec<u8>,
     scratch: Vec<u8>,
-    /// The fixed data payload; lent to each outgoing [`WireMsg::Data`] and
-    /// taken back once it is encoded.
+    /// The fixed data payload.
     payload: Vec<u8>,
     /// How long to wait before re-NACKing an outstanding hole.
     pub nack_retry: Duration,
@@ -194,7 +184,6 @@ impl LoadWorker {
     /// fixed data-payload size.
     pub fn new(control: SocketAddr, payload_len: usize) -> io::Result<Self> {
         let socket = std::net::UdpSocket::bind("127.0.0.1:0")?;
-        socket.set_nonblocking(true)?;
         let self_addr = socket.local_addr()?;
         Ok(LoadWorker {
             socket,
@@ -226,10 +215,7 @@ impl LoadWorker {
     pub fn register(&mut self, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         let mut next_send = Instant::now();
-        loop {
-            if self.flows.iter().all(|f| f.resolved()) {
-                return Ok(());
-            }
+        while !self.flows.iter().all(|f| f.resolved()) {
             if Instant::now() >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
@@ -240,8 +226,8 @@ impl LoadWorker {
                 ));
             }
             if Instant::now() >= next_send {
-                // Re-send in bounded chunks so a thousand-flow worker never
-                // overruns the control socket's buffer in one burst.
+                // Re-send in bounded chunks, with a wait between, so a
+                // thousand-flow worker never overruns the control socket.
                 let mut in_chunk = 0;
                 for i in 0..self.flows.len() {
                     if self.flows[i].resolved() {
@@ -259,21 +245,21 @@ impl LoadWorker {
                     }
                     in_chunk += 1;
                     if in_chunk % 64 == 0 {
-                        self.poll_io()?;
-                        std::thread::sleep(Duration::from_micros(500));
+                        self.pump(Instant::now() + Duration::from_micros(500))?;
                     }
                 }
                 next_send = Instant::now() + Duration::from_millis(100);
             }
-            self.poll_io()?;
-            std::thread::sleep(Duration::from_millis(1));
+            self.pump(next_send.min(deadline))?;
         }
+        Ok(())
     }
 
     /// Sends the paced-phase packets of every admitted flow at one packet
     /// per `pace` per flow (flow start times are staggered across the pace
-    /// interval), polling for arrivals throughout, then keeps polling for
-    /// `drain` so in-flight recoveries finish.
+    /// interval), handling arrivals throughout, then keeps handling them for
+    /// up to `drain` so in-flight recoveries finish — or until every
+    /// admitted flow has delivered everything it sent, whichever is first.
     pub fn run_paced(
         &mut self,
         packets_per_flow: u32,
@@ -286,33 +272,46 @@ impl LoadWorker {
             .map(|i| start + pace.mul_f64(f64::from(i) / f64::from(n)))
             .collect();
         let mut sent = vec![0u32; self.flows.len()];
+        let mut drain_end = None;
         loop {
             let now = Instant::now();
-            let mut all_done = true;
+            let mut next_send: Option<Instant> = None;
             for i in 0..self.flows.len() {
                 if self.flows[i].service.is_none() || sent[i] >= packets_per_flow {
                     continue;
                 }
-                all_done = false;
                 if due[i] <= now {
                     let is_last = sent[i] + 1 == packets_per_flow;
                     self.send_flow_packet(i, is_last)?;
                     sent[i] += 1;
                     due[i] += pace;
                 }
+                if sent[i] < packets_per_flow {
+                    next_send = Some(next_send.map_or(due[i], |t| t.min(due[i])));
+                }
             }
-            self.poll_io()?;
-            if all_done {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
+            let until = match next_send {
+                Some(t) => t,
+                None => {
+                    let end = *drain_end.get_or_insert(now + drain);
+                    if now >= end || self.all_delivered() {
+                        return Ok(());
+                    }
+                    end
+                }
+            };
+            let retry = self.retry_nacks();
+            self.pump(retry.map_or(until, |r| r.min(until)))?;
         }
-        let drain_end = Instant::now() + drain;
-        while Instant::now() < drain_end {
-            self.poll_io()?;
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        Ok(())
+    }
+
+    /// Whether every admitted flow has delivered all it sent, with no hole
+    /// left open.
+    fn all_delivered(&self) -> bool {
+        self.flows
+            .iter()
+            .filter(|f| f.service.is_some())
+            .all(|f| f.delivered >= f.sent && f.holes.is_empty())
     }
 
     /// Open-loop overload: sends relay-bound data packets round-robin over
@@ -330,20 +329,21 @@ impl LoadWorker {
         if admitted.is_empty() {
             return 0;
         }
+        // Overload never waits on the socket: full buffers count as
+        // back-pressure and the answers are read only as they pile up.
+        let _ = self.socket.set_nonblocking(true);
         'outer: loop {
             for &i in &admitted {
                 let f = &mut self.flows[i];
                 let seq = f.next_seq;
                 f.next_seq += 1;
-                let msg = WireMsg::Data {
+                let payload = self.payload.as_slice();
+                Wire::Data {
                     flow: f.spec.flow,
                     seq,
-                    payload: std::mem::take(&mut self.payload),
-                };
-                msg.encode_into(&mut self.scratch);
-                if let WireMsg::Data { payload, .. } = msg {
-                    self.payload = payload;
+                    payload,
                 }
+                .encode_into(&mut self.scratch);
                 let target = f.shard_addr.expect("admitted flow has a shard");
                 match self.socket.send_to(&self.scratch, target) {
                     Ok(_) => offered += 1,
@@ -361,39 +361,30 @@ impl LoadWorker {
             }
         }
         self.drain_discard();
+        let _ = self.socket.set_nonblocking(false);
         offered
     }
 
-    /// Drains the socket, dispatching every datagram, then retries NACKs
-    /// whose holes are still outstanding.  Returns datagrams handled.
-    pub fn poll_io(&mut self) -> io::Result<usize> {
-        let mut handled = 0usize;
-        while handled < 4096 {
-            let (len, _from) = match self.socket.recv_from(&mut self.buf) {
-                Ok(hit) => hit,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break
-                }
-                Err(e) => return Err(e),
-            };
-            handled += 1;
-            let msg = {
-                let bytes = &self.buf[..len];
-                match WireMsg::decode(bytes) {
-                    Some(msg) => msg,
-                    None => {
-                        self.malformed_rx += 1;
-                        continue;
-                    }
-                }
-            };
-            self.dispatch(msg);
+    /// Waits until `until` for one datagram and handles it.
+    fn pump(&mut self, until: Instant) -> io::Result<()> {
+        let wait = until.saturating_duration_since(Instant::now());
+        if wait.is_zero() {
+            return Ok(());
         }
-        self.retry_nacks();
-        Ok(handled)
+        self.socket.set_read_timeout(Some(wait))?;
+        let len = match self.socket.recv_from(&mut self.buf) {
+            Ok((len, _from)) => len,
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        // The datagram stays in `buf` while `dispatch` borrows the worker.
+        let buf = std::mem::take(&mut self.buf);
+        match WireView::parse(&buf[..len]) {
+            Some(msg) => self.dispatch(msg),
+            None => self.malformed_rx += 1,
+        }
+        self.buf = buf;
+        Ok(())
     }
 
     /// Aggregate counters over this worker's flows.
@@ -450,15 +441,13 @@ impl LoadWorker {
         let seq = f.next_seq;
         f.next_seq += 1;
         f.sent += 1;
-        let msg = WireMsg::Data {
+        let payload = self.payload.as_slice();
+        Wire::Data {
             flow: f.spec.flow,
             seq,
-            payload: std::mem::take(&mut self.payload),
-        };
-        msg.encode_into(&mut self.scratch);
-        if let WireMsg::Data { payload, .. } = msg {
-            self.payload = payload;
+            payload,
         }
+        .encode_into(&mut self.scratch);
         let shard = f.shard_addr.expect("admitted flow has a shard");
         let drop_direct = match f.spec.drop_every {
             Some(n) => !is_last && seq % u64::from(n) == u64::from(n) - 1,
@@ -483,16 +472,15 @@ impl LoadWorker {
 
     fn drain_discard(&mut self) {
         for _ in 0..4096 {
-            match self.socket.recv_from(&mut self.buf) {
-                Ok(_) => {}
-                Err(_) => break,
+            if self.socket.recv_from(&mut self.buf).is_err() {
+                break;
             }
         }
     }
 
-    fn dispatch(&mut self, msg: WireMsg) {
+    fn dispatch(&mut self, msg: WireView) {
         match msg {
-            WireMsg::RegisterAck {
+            Wire::RegisterAck {
                 flow,
                 service,
                 shard: _,
@@ -509,41 +497,39 @@ impl LoadWorker {
                 f.coding_k = usize::from(coding_k);
                 f.coding_m = usize::from(coding_m);
             }
-            WireMsg::RegisterNack { flow, reason } => {
+            Wire::RegisterNack { flow, reason } => {
                 let Some(&i) = self.by_id.get(&flow) else {
                     return;
                 };
                 self.flows[i].rejected = RejectReason::from_u8(reason);
             }
-            WireMsg::Data { flow, seq, payload } | WireMsg::Recovered { flow, seq, payload } => {
+            Wire::Data { flow, seq, payload } | Wire::Recovered { flow, seq, payload } => {
                 self.on_delivery(flow, seq, payload)
             }
-            WireMsg::Parity {
+            Wire::Parity {
                 flow,
                 base_seq,
                 index,
                 payload,
             } => self.on_parity(flow, base_seq, index, payload),
             // Clients never receive these.
-            WireMsg::Nack { .. } | WireMsg::Register { .. } => self.malformed_rx += 1,
+            Wire::Nack { .. } | Wire::Register { .. } => self.malformed_rx += 1,
         }
     }
 
     /// A data packet arrived (direct copy, relay forward, or cache
     /// recovery).
-    fn on_delivery(&mut self, flow: u32, seq: u64, payload: Vec<u8>) {
+    fn on_delivery(&mut self, flow: u32, seq: u64, payload: &[u8]) {
         let Some(&i) = self.by_id.get(&flow) else {
             return;
         };
-        let was_hole = self.flows[i].holes.contains_key(&seq);
         let f = &mut self.flows[i];
         if !f.received.insert(seq) {
             f.duplicates += 1;
             return;
         }
         f.delivered += 1;
-        if was_hole {
-            f.holes.remove(&seq);
+        if f.holes.remove(&seq).is_some() {
             f.recovered += 1;
         }
         // Coding flows keep recent payloads so parity can reconstruct their
@@ -553,7 +539,7 @@ impl LoadWorker {
             let base = seq - seq % k;
             let idx = (seq - base) as usize;
             if let Some(slot) = Self::batch_for(f, base).data.get_mut(idx) {
-                *slot = Some(payload);
+                *slot = Some(payload.to_vec());
             }
         }
         // Gap detection: everything between the old cursor and this arrival
@@ -591,12 +577,10 @@ impl LoadWorker {
 
     /// Registers a hole and sends the first NACK for it.
     fn note_hole(&mut self, i: usize, seq: u64) {
-        let flow_id = self.flows[i].spec.flow;
-        let shard = match self.flows[i].shard_addr {
-            Some(a) => a,
-            None => return,
-        };
         let f = &mut self.flows[i];
+        let (flow_id, Some(shard)) = (f.spec.flow, f.shard_addr) else {
+            return;
+        };
         if f.holes.contains_key(&seq) || f.received.contains(&seq) {
             return;
         }
@@ -607,7 +591,11 @@ impl LoadWorker {
                 nacks: 1,
             },
         );
-        WireMsg::Nack { flow: flow_id, seq }.encode_into(&mut self.scratch);
+        self.send_nack(flow_id, seq, shard);
+    }
+
+    fn send_nack(&mut self, flow: u32, seq: u64, shard: SocketAddr) {
+        WireMsg::Nack { flow, seq }.encode_into(&mut self.scratch);
         if self.socket.send_to(&self.scratch, shard).is_err() {
             self.send_backpressure += 1;
         } else {
@@ -615,55 +603,46 @@ impl LoadWorker {
         }
     }
 
-    /// Re-NACKs outstanding holes whose retry timer expired.
-    fn retry_nacks(&mut self) {
+    /// Re-NACKs outstanding holes whose retry timer expired.  Returns when
+    /// the next retry falls due, if any hole still has one.
+    fn retry_nacks(&mut self) -> Option<Instant> {
         let now = Instant::now();
+        let (retry, max) = (self.nack_retry, self.nack_max);
+        let mut next: Option<Instant> = None;
         for i in 0..self.flows.len() {
-            if self.flows[i].holes.is_empty() || !self.flows[i].recovers() {
-                continue;
-            }
-            let flow_id = self.flows[i].spec.flow;
-            let Some(shard) = self.flows[i].shard_addr else {
+            let f = &mut self.flows[i];
+            let (Some(shard), true) = (f.shard_addr, f.recovers()) else {
                 continue;
             };
-            let retry = self.nack_retry;
-            let max = self.nack_max;
-            let due: Vec<u64> = self.flows[i]
-                .holes
-                .iter()
-                .filter(|(_, h)| h.nacks < max && now.duration_since(h.last_nack) >= retry)
-                .map(|(s, _)| *s)
-                .collect();
-            for seq in due {
-                if let Some(h) = self.flows[i].holes.get_mut(&seq) {
-                    h.last_nack = now;
-                    h.nacks += 1;
+            let flow = f.spec.flow;
+            let mut due = Vec::new();
+            for (&seq, h) in f.holes.iter_mut().filter(|(_, h)| h.nacks < max) {
+                if now.duration_since(h.last_nack) >= retry {
+                    (h.last_nack, h.nacks) = (now, h.nacks + 1);
+                    due.push(seq);
                 }
-                WireMsg::Nack { flow: flow_id, seq }.encode_into(&mut self.scratch);
-                if self.socket.send_to(&self.scratch, shard).is_err() {
-                    self.send_backpressure += 1;
-                } else {
-                    self.nacks_sent += 1;
+                if h.nacks < max {
+                    next = Some(next.map_or(h.last_nack + retry, |t| t.min(h.last_nack + retry)));
                 }
             }
+            for seq in due {
+                self.send_nack(flow, seq, shard);
+            }
         }
+        next
     }
 
     /// A parity shard arrived for a coding flow's batch.
-    fn on_parity(&mut self, flow: u32, base: u64, index: u8, payload: Vec<u8>) {
+    fn on_parity(&mut self, flow: u32, base: u64, index: u8, payload: &[u8]) {
         let Some(&i) = self.by_id.get(&flow) else {
             return;
         };
-        if self.flows[i].service != Some(ServiceKind::Coding) || self.flows[i].coding_k == 0 {
+        let f = &mut self.flows[i];
+        if f.service != Some(ServiceKind::Coding) || f.coding_k == 0 {
             return;
         }
-        {
-            let f = &mut self.flows[i];
-            let m = f.coding_m;
-            let buf = Self::batch_for(f, base);
-            if usize::from(index) < m {
-                buf.parity[usize::from(index)] = Some(payload);
-            }
+        if let Some(slot) = Self::batch_for(f, base).parity.get_mut(usize::from(index)) {
+            *slot = Some(payload.to_vec());
         }
         self.try_reconstruct(i, base);
     }
@@ -682,18 +661,7 @@ impl LoadWorker {
         let Some((_, buf)) = f.batches.iter().find(|(b, _)| *b == base) else {
             return;
         };
-        let have_data: Vec<(usize, &[u8])> = buf
-            .data
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, p)| p.as_deref().map(|p| (idx, p)))
-            .collect();
-        let have_parity: Vec<(usize, &[u8])> = buf
-            .parity
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, p)| p.as_deref().map(|p| (idx, p)))
-            .collect();
+        let (have_data, have_parity) = (present(&buf.data), present(&buf.parity));
         if have_data.len() + have_parity.len() < f.coding_k || have_parity.is_empty() {
             return;
         }
@@ -724,4 +692,12 @@ impl LoadWorker {
             }
         }
     }
+}
+
+/// The shards of a batch buffer that have arrived, by index.
+fn present(shards: &[Option<Vec<u8>>]) -> Vec<(usize, &[u8])> {
+    let arrived = shards.iter().enumerate();
+    arrived
+        .filter_map(|(i, p)| Some((i, p.as_deref()?)))
+        .collect()
 }

@@ -2,9 +2,9 @@
 //!
 //! The loopback tests and the benchmark's `relay-*` workloads (`benchmark/`)
 //! read the relay through these, so each counter is documented with the
-//! event that bumps it.  Shard counters are plain atomics updated by the owning shard task
-//! (and read by anyone), which keeps the hot path free of locks for
-//! accounting.
+//! event that bumps it.  Shard counters are plain atomics updated by the
+//! owning shard thread (and read by anyone), which keeps the hot path free
+//! of locks for accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,21 +13,21 @@ use jqos_core::select::ServiceKind;
 use crate::wire::RejectReason;
 
 /// Why a shard shed (deliberately dropped) a packet.  Shedding is always
-/// counted — the relay never lets a queue or cache grow without bound, and
-/// it never drops silently.
+/// counted — the relay never lets a ring grow without bound, and it never
+/// drops silently.  Ingress overload is not among the reasons: it is dropped
+/// by the kernel's socket buffer, which counts it per socket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The bounded per-shard ingress queue was full for this wakeup.
-    QueueFull,
-    /// The datagram did not parse as a [`crate::wire::WireMsg`].
+    /// The datagram did not parse as a [`crate::wire::WireView`], or was
+    /// larger than a receive slot.
     Malformed,
     /// Data or NACK for a flow the shard has no admission record for.
     UnknownFlow,
-    /// The egress socket buffer was full (`try_send_to` back-pressure).
+    /// The egress socket buffer was full (`sendmmsg` back-pressure).
     EgressFull,
 }
 
-/// Live counters for one shard (updated lock-free by the shard task).
+/// Live counters for one shard (updated lock-free by the shard thread).
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     /// Data packets accepted and processed.
@@ -53,23 +53,21 @@ pub struct ShardCounters {
     /// Coding accumulators restarted on a sequence gap (the dropped partial
     /// batch can never serve recovery, so the restart is counted).
     pub coding_resyncs: AtomicU64,
-    /// Wakeups of the shard task that found at least one datagram.
+    /// Receives that returned at least one datagram.
     pub wakeups: AtomicU64,
-    /// `recvfrom` syscalls issued (including the empty one ending a batch).
+    /// Receive syscalls issued, including those that timed out empty.
     pub recv_syscalls: AtomicU64,
     /// Datagrams pulled off the socket (across all wakeups).
     pub datagrams_rx: AtomicU64,
     /// Datagrams written to the socket.
     pub datagrams_tx: AtomicU64,
-    /// Sheds by reason.
-    pub shed_queue_full: AtomicU64,
     /// Malformed datagrams (counted, never silently dropped).
     pub malformed_rx: AtomicU64,
     /// Packets for unadmitted flows.
     pub shed_unknown_flow: AtomicU64,
     /// Egress datagrams dropped because the socket buffer was full.
     pub shed_egress_full: AtomicU64,
-    /// Highest ingress-queue depth ever observed (≤ configured capacity).
+    /// Most datagrams one receive ever returned (≤ `recv_batch`).
     pub queue_highwater: AtomicU64,
 }
 
@@ -77,7 +75,6 @@ impl ShardCounters {
     /// Bumps the shed counter for `reason`.
     pub fn shed(&self, reason: ShedReason) {
         let ctr = match reason {
-            ShedReason::QueueFull => &self.shed_queue_full,
             ShedReason::Malformed => &self.malformed_rx,
             ShedReason::UnknownFlow => &self.shed_unknown_flow,
             ShedReason::EgressFull => &self.shed_egress_full,
@@ -85,7 +82,7 @@ impl ShardCounters {
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Raises the queue highwater mark to `depth` if it is a new maximum.
+    /// Raises the highwater mark to `depth` if it is a new maximum.
     pub fn note_queue_depth(&self, depth: usize) {
         self.queue_highwater
             .fetch_max(depth as u64, Ordering::Relaxed);
@@ -112,7 +109,7 @@ impl ShardCounters {
             recv_syscalls: load(&self.recv_syscalls),
             datagrams_rx: load(&self.datagrams_rx),
             datagrams_tx: load(&self.datagrams_tx),
-            shed_queue_full: load(&self.shed_queue_full),
+            shed_queue_full: 0,
             malformed_rx: load(&self.malformed_rx),
             shed_unknown_flow: load(&self.shed_unknown_flow),
             shed_egress_full: load(&self.shed_egress_full),
@@ -158,7 +155,9 @@ pub struct ShardSnapshot {
     pub datagrams_rx: u64,
     /// See [`ShardCounters::datagrams_tx`].
     pub datagrams_tx: u64,
-    /// See [`ShardCounters::shed_queue_full`].
+    /// Always 0: overload is dropped by the kernel's socket buffer, which the
+    /// benchmark attributes from `/proc/net/udp`.  Kept so that snapshots
+    /// keep their shape.
     pub shed_queue_full: u64,
     /// See [`ShardCounters::malformed_rx`].
     pub malformed_rx: u64,
@@ -280,17 +279,16 @@ mod tests {
     #[test]
     fn shed_reasons_land_in_distinct_counters() {
         let c = ShardCounters::default();
-        c.shed(ShedReason::QueueFull);
         c.shed(ShedReason::Malformed);
         c.shed(ShedReason::Malformed);
         c.shed(ShedReason::UnknownFlow);
         c.shed(ShedReason::EgressFull);
         let snap = c.snapshot(0, 0);
-        assert_eq!(snap.shed_queue_full, 1);
+        assert_eq!(snap.shed_queue_full, 0);
         assert_eq!(snap.malformed_rx, 2);
         assert_eq!(snap.shed_unknown_flow, 1);
         assert_eq!(snap.shed_egress_full, 1);
-        assert_eq!(snap.shed_total(), 5);
+        assert_eq!(snap.shed_total(), 4);
     }
 
     #[test]

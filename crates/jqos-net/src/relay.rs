@@ -2,34 +2,35 @@
 //!
 //! A [`Relay`] is one data-center relay process: a control socket running
 //! the wire admission path ([`crate::admission`]) plus `shards` dataplane
-//! sockets, each owned by one worker task ([`crate::shard`]).  Flows are
+//! sockets, each owned by one thread ([`crate::shard`]).  Flows are
 //! hash-partitioned onto shards at admission; the `RegisterAck` tells the
 //! client which shard port its data plane lives on, so after admission the
 //! hot path touches only per-shard state.
 //!
 //! Lifecycle: [`Relay::bind`] → [`Relay::start`] → traffic →
-//! [`Relay::shutdown`].  Shutdown is graceful: a stop flag is raised, every
-//! task drains its socket and bounded queue, and `shutdown` awaits all task
-//! exits before returning the final [`RelayMetrics`] — no aborted tasks, no
-//! packets silently stranded in a queue (the seed prototype's `run()` could
-//! only be aborted mid-loop).
+//! [`Relay::shutdown`].  Every thread blocks in a receive with a
+//! [`STOP_POLL`] read timeout, so it wakes on a datagram and notices a stop
+//! within that bound.  Shutdown is graceful: a stop flag is raised, every
+//! shard drains its socket, and `shutdown` joins every thread before
+//! returning the final [`RelayMetrics`] — no aborted threads, no packets
+//! silently stranded (the seed prototype's `run()` could only be aborted
+//! mid-loop).
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::thread::JoinHandle;
 
-use jqos_core::select::PathDelays;
+use jqos_core::select::{PathDelays, ServiceKind};
 use netsim::Dur;
-use tokio::net::UdpSocket;
-use tokio::task::JoinHandle;
 
 use crate::admission::{shard_for, Admission, AdmissionPolicy};
 use crate::metrics::{FlowInfo, RelayMetrics};
-use crate::shard::{run_shard, FlowState, ShardState};
-use crate::wire::{service_to_wire, RejectReason, WireMsg};
+use crate::shard::{run_shard, FlowState, ShardState, STOP_POLL};
+use crate::sys::MAX_BATCH;
+use crate::wire::{service_to_wire, RejectReason, Wire, WireMsg, WireView};
 
 /// How many rejection records the control plane keeps for metrics/tests.
 const REJECTION_HISTORY: usize = 1024;
@@ -37,7 +38,7 @@ const REJECTION_HISTORY: usize = 1024;
 /// Configuration of a [`Relay`].
 #[derive(Clone, Copy, Debug)]
 pub struct RelayConfig {
-    /// Number of dataplane shards (worker tasks / sockets).
+    /// Number of dataplane shards (threads / sockets).
     pub shards: usize,
     /// Path-delay model the admission selector prices services against
     /// (the relay's view of the Figure-2 segments).
@@ -45,9 +46,8 @@ pub struct RelayConfig {
     /// Reject flows whose budget not even forwarding can meet (instead of
     /// degrading them to forwarding like the simulator's selector does).
     pub strict_admission: bool,
-    /// Bounded ingress-queue capacity per shard (messages per wakeup).
-    pub queue_capacity: usize,
-    /// Maximum datagrams pulled off the socket per wakeup.
+    /// Receive slots per shard: the most datagrams one receive returns
+    /// (1 to 64).
     pub recv_batch: usize,
     /// Caching service: copies retained per flow.
     pub cache_per_flow: usize,
@@ -81,8 +81,7 @@ impl Default for RelayConfig {
             shards: 2,
             delays: RelayConfig::wide_area_delays(),
             strict_admission: true,
-            queue_capacity: 512,
-            recv_batch: 256,
+            recv_batch: 64,
             cache_per_flow: 64,
             parity_per_flow: 8,
             coding_k: 8,
@@ -93,7 +92,8 @@ impl Default for RelayConfig {
 }
 
 /// Control-plane counters and rejection history.
-pub(crate) struct ControlState {
+#[derive(Default)]
+struct ControlState {
     admitted: AtomicU64,
     rejected_budget: AtomicU64,
     rejected_shard_full: AtomicU64,
@@ -101,164 +101,133 @@ pub(crate) struct ControlState {
     rejections: Mutex<VecDeque<(u32, RejectReason)>>,
 }
 
-impl ControlState {
-    fn new() -> Self {
-        ControlState {
-            admitted: AtomicU64::new(0),
-            rejected_budget: AtomicU64::new(0),
-            rejected_shard_full: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            rejections: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    fn record_rejection(&self, flow: u32, reason: RejectReason) {
-        match reason {
-            RejectReason::BudgetInfeasible => {
-                self.rejected_budget.fetch_add(1, Ordering::Relaxed);
-            }
-            RejectReason::ShardFull => {
-                self.rejected_shard_full.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let mut hist = self
-            .rejections
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if hist.len() >= REJECTION_HISTORY {
-            hist.pop_front();
-        }
-        hist.push_back((flow, reason));
-    }
+/// Everything the relay's threads share.
+struct Shared {
+    cfg: RelayConfig,
+    policy: AdmissionPolicy,
+    control: UdpSocket,
+    control_state: ControlState,
+    shards: Vec<ShardState>,
+    shard_addrs: Vec<SocketAddr>,
+    stop: AtomicBool,
 }
 
 /// A sharded, multi-tenant DC relay on real UDP sockets.
 pub struct Relay {
-    control: Arc<UdpSocket>,
-    shards: Vec<Arc<ShardState>>,
-    shard_addrs: Vec<SocketAddr>,
-    control_state: Arc<ControlState>,
-    cfg: Arc<RelayConfig>,
-    policy: Arc<AdmissionPolicy>,
-    stop: Arc<AtomicBool>,
-    tasks: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Relay {
     /// Binds the control socket on `addr` (use port 0 for an ephemeral
     /// port) and one dataplane socket per shard on the same interface.
+    // `async` only because the benchmark calls it through `tokio::runtime::block_on`.
     pub async fn bind(addr: &str, cfg: RelayConfig) -> io::Result<Relay> {
         assert!(cfg.shards >= 1, "a relay needs at least one shard");
+        assert!(
+            (1..=MAX_BATCH).contains(&cfg.recv_batch),
+            "recv_batch must be 1..={MAX_BATCH}"
+        );
         assert!(
             cfg.coding_k >= 2 && cfg.coding_m >= 1 && cfg.coding_k + cfg.coding_m <= 255,
             "coding parameters must satisfy 2 <= k, 1 <= m, k + m <= 255"
         );
-        let control = Arc::new(UdpSocket::bind(addr).await?);
+        let control = UdpSocket::bind(addr)?;
+        control.set_read_timeout(Some(STOP_POLL))?;
         let ip = control.local_addr()?.ip();
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut shard_addrs = Vec::with_capacity(cfg.shards);
         for index in 0..cfg.shards {
-            let socket = Arc::new(UdpSocket::bind(&format!("{ip}:0")).await?);
+            let socket = UdpSocket::bind((ip, 0))?;
+            socket.set_read_timeout(Some(STOP_POLL))?;
             shard_addrs.push(socket.local_addr()?);
-            shards.push(Arc::new(ShardState::new(index, socket)));
+            let (flows, counters) = Default::default();
+            shards.push(ShardState {
+                index,
+                socket,
+                flows,
+                counters,
+            });
         }
         let policy =
             AdmissionPolicy::new(cfg.delays, cfg.strict_admission, cfg.max_flows_per_shard);
-        Ok(Relay {
+        let shared = Shared {
+            cfg,
+            policy,
             control,
+            control_state: ControlState::default(),
             shards,
             shard_addrs,
-            control_state: Arc::new(ControlState::new()),
-            cfg: Arc::new(cfg),
-            policy: Arc::new(policy),
-            stop: Arc::new(AtomicBool::new(false)),
-            tasks: Vec::new(),
+            stop: AtomicBool::new(false),
+        };
+        Ok(Relay {
+            shared: Arc::new(shared),
+            threads: Vec::new(),
         })
     }
 
     /// The admission (control) socket address clients register against.
     pub fn control_addr(&self) -> io::Result<SocketAddr> {
-        self.control.local_addr()
+        self.shared.control.local_addr()
     }
 
     /// Dataplane socket addresses, indexed by shard.
     pub fn shard_addrs(&self) -> &[SocketAddr] {
-        &self.shard_addrs
+        &self.shared.shard_addrs
     }
 
-    /// The relay's configuration.
-    pub fn config(&self) -> &RelayConfig {
-        &self.cfg
-    }
-
-    /// Spawns the control task and one task per shard.  Idempotent calls
-    /// are a bug: panics if already started.
+    /// Spawns the control thread and one thread per shard.  Idempotent
+    /// calls are a bug: panics if already started.
     pub fn start(&mut self) {
-        assert!(self.tasks.is_empty(), "relay already started");
-        for shard in &self.shards {
-            let shard = shard.clone();
-            let cfg = self.cfg.clone();
-            let stop = self.stop.clone();
-            self.tasks.push(tokio::spawn(
-                async move { run_shard(shard, cfg, stop).await },
-            ));
+        assert!(self.threads.is_empty(), "relay already started");
+        for i in 0..self.shared.shards.len() {
+            let s = self.shared.clone();
+            let shard = move || run_shard(&s.shards[i], &s.cfg, &s.stop);
+            self.threads.push(spawn(format!("jqos-shard-{i}"), shard));
         }
-        let control = self.control.clone();
-        let shards: Vec<Arc<ShardState>> = self.shards.clone();
-        let shard_addrs = self.shard_addrs.clone();
-        let control_state = self.control_state.clone();
-        let cfg = self.cfg.clone();
-        let policy = self.policy.clone();
-        let stop = self.stop.clone();
-        self.tasks.push(tokio::spawn(async move {
-            run_control(
-                control,
-                shards,
-                shard_addrs,
-                control_state,
-                cfg,
-                policy,
-                stop,
-            )
-            .await;
-        }));
+        let s = self.shared.clone();
+        let control = move || s.run_control();
+        self.threads
+            .push(spawn("jqos-control".to_string(), control));
     }
 
-    /// Raises the graceful-stop signal, waits for every task to drain its
-    /// queues and exit, and returns the final metrics snapshot.
+    /// Raises the graceful-stop signal, waits for every thread to drain its
+    /// socket and exit, and returns the final metrics snapshot.
+    // `async` only because the benchmark calls it through `tokio::runtime::block_on`.
     pub async fn shutdown(&mut self) -> RelayMetrics {
-        self.stop.store(true, Ordering::Relaxed);
-        for task in self.tasks.drain(..) {
-            // A shard task only returns (never panics) — but a poisoned
-            // join must not wedge shutdown.
-            let _ = task.await;
-        }
+        self.stop();
         self.metrics()
+    }
+
+    fn stop(&mut self) {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        for thread in self.threads.drain(..) {
+            // A panicked thread must not wedge shutdown: its counters are
+            // still reported.
+            let _ = thread.join();
+        }
     }
 
     /// A point-in-time snapshot of control-plane and per-shard counters
     /// plus the admitted flow table.
     pub fn metrics(&self) -> RelayMetrics {
+        let c = &self.shared.control_state;
         let mut m = RelayMetrics {
-            admitted: self.control_state.admitted.load(Ordering::Relaxed),
-            rejected_budget: self.control_state.rejected_budget.load(Ordering::Relaxed),
-            rejected_shard_full: self
-                .control_state
-                .rejected_shard_full
-                .load(Ordering::Relaxed),
-            control_malformed: self.control_state.malformed.load(Ordering::Relaxed),
-            rejections: self
-                .control_state
+            admitted: c.admitted.load(Ordering::Relaxed),
+            rejected_budget: c.rejected_budget.load(Ordering::Relaxed),
+            rejected_shard_full: c.rejected_shard_full.load(Ordering::Relaxed),
+            control_malformed: c.malformed.load(Ordering::Relaxed),
+            rejections: c
                 .rejections
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .copied()
                 .collect(),
-            shards: Vec::with_capacity(self.shards.len()),
+            shards: Vec::with_capacity(self.shared.shards.len()),
             flows: Vec::new(),
         };
-        for shard in &self.shards {
+        for shard in &self.shared.shards {
             let flows = shard.flows.lock().unwrap_or_else(PoisonError::into_inner);
             m.shards
                 .push(shard.counters.snapshot(shard.index, flows.len()));
@@ -276,94 +245,107 @@ impl Relay {
     }
 }
 
-/// The control task: admission over the wire.
-async fn run_control(
-    control: Arc<UdpSocket>,
-    shards: Vec<Arc<ShardState>>,
-    shard_addrs: Vec<SocketAddr>,
-    state: Arc<ControlState>,
-    cfg: Arc<RelayConfig>,
-    policy: Arc<AdmissionPolicy>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut buf = vec![0u8; 2048];
-    let mut reply = Vec::with_capacity(16);
-    loop {
-        let (len, from) = match control.try_recv_from(&mut buf) {
-            Ok(Some(hit)) => hit,
-            Ok(None) => {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                tokio::time::sleep(Duration::from_millis(1)).await;
-                continue;
-            }
-            Err(_) => continue,
-        };
-        let msg = match WireMsg::decode(&buf[..len]) {
-            Some(msg) => msg,
-            None => {
-                state.malformed.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        let WireMsg::Register {
-            flow,
-            budget_ms,
-            loss_tolerant,
-        } = msg
-        else {
-            // Data-plane traffic on the control socket is a client bug;
-            // count it with the malformed datagrams.
-            state.malformed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        let shard_idx = shard_for(flow, cfg.shards);
-        let shard = &shards[shard_idx];
-        let response = {
-            let mut flows = shard.flows.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(existing) = flows.get(&flow) {
-                // Duplicate register (a retry): re-ack idempotently.
-                ack_for(flow, existing.service, shard_idx, &shard_addrs, &cfg)
-            } else {
-                match policy.decide(budget_ms, loss_tolerant, flows.len()) {
-                    Admission::Accept(sel) => {
-                        flows.insert(flow, FlowState::new(sel.service, from, budget_ms));
-                        state.admitted.fetch_add(1, Ordering::Relaxed);
-                        ack_for(flow, sel.service, shard_idx, &shard_addrs, &cfg)
-                    }
-                    Admission::Reject(reason) => {
-                        state.record_rejection(flow, reason);
-                        WireMsg::RegisterNack {
-                            flow,
-                            reason: reason.as_u8(),
-                        }
-                    }
-                }
-            }
-        };
-        response.encode_into(&mut reply);
-        // Control-plane replies ride the async path: a momentarily full
-        // buffer retries instead of dropping an admission verdict.
-        let _ = control.send_to(&reply, from).await;
+impl Drop for Relay {
+    /// A relay dropped without [`Relay::shutdown`] still stops and joins its
+    /// threads (within [`STOP_POLL`] plus the drain).
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
-/// Builds the `RegisterAck` for an admitted flow.
-fn ack_for(
-    flow: u32,
-    service: jqos_core::select::ServiceKind,
-    shard_idx: usize,
-    shard_addrs: &[SocketAddr],
-    cfg: &RelayConfig,
-) -> WireMsg {
-    let coding = service == jqos_core::select::ServiceKind::Coding;
-    WireMsg::RegisterAck {
-        flow,
-        service: service_to_wire(service),
-        shard: shard_idx as u16,
-        port: shard_addrs[shard_idx].port(),
-        coding_k: if coding { cfg.coding_k as u8 } else { 0 },
-        coding_m: if coding { cfg.coding_m as u8 } else { 0 },
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn relay thread")
+}
+
+impl Shared {
+    /// The control thread: admission over the wire.
+    fn run_control(&self) {
+        let mut buf = vec![0u8; 2048];
+        let mut reply = Vec::with_capacity(16);
+        while !self.stop.load(Ordering::Relaxed) {
+            // A timeout only re-checks the stop flag.
+            let Ok((len, from)) = self.control.recv_from(&mut buf) else {
+                continue;
+            };
+            match WireView::parse(&buf[..len]) {
+                Some(Wire::Register {
+                    flow,
+                    budget_ms,
+                    loss_tolerant,
+                }) => {
+                    self.admit(flow, budget_ms, loss_tolerant, from)
+                        .encode_into(&mut reply);
+                    // The socket blocks: a momentarily full buffer delays an
+                    // admission verdict instead of dropping it.
+                    let _ = self.control.send_to(&reply, from);
+                }
+                // Garbage, and data-plane traffic on the control socket (a
+                // client bug), are counted together.
+                _ => {
+                    self.control_state.malformed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// Decides one registration; a duplicate (a retry) is re-acked
+    /// idempotently.
+    fn admit(&self, flow: u32, budget_ms: u32, loss_tolerant: bool, from: SocketAddr) -> WireMsg {
+        let shard = shard_for(flow, self.cfg.shards);
+        let mut flows = self.shards[shard]
+            .flows
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(existing) = flows.get(&flow) {
+            return self.ack(flow, existing.service, shard);
+        }
+        match self.policy.decide(budget_ms, loss_tolerant, flows.len()) {
+            Admission::Accept(sel) => {
+                flows.insert(
+                    flow,
+                    FlowState::new(sel.service, from, budget_ms, &self.cfg),
+                );
+                self.control_state.admitted.fetch_add(1, Ordering::Relaxed);
+                self.ack(flow, sel.service, shard)
+            }
+            Admission::Reject(reason) => {
+                self.reject(flow, reason);
+                WireMsg::RegisterNack {
+                    flow,
+                    reason: reason.as_u8(),
+                }
+            }
+        }
+    }
+
+    /// Counts a rejection and keeps it in the bounded history.
+    fn reject(&self, flow: u32, reason: RejectReason) {
+        let c = &self.control_state;
+        match reason {
+            RejectReason::BudgetInfeasible => &c.rejected_budget,
+            RejectReason::ShardFull => &c.rejected_shard_full,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        let mut hist = c.rejections.lock().unwrap_or_else(PoisonError::into_inner);
+        if hist.len() >= REJECTION_HISTORY {
+            hist.pop_front();
+        }
+        hist.push_back((flow, reason));
+    }
+
+    /// The `RegisterAck` for a flow admitted to `shard`.
+    fn ack(&self, flow: u32, service: ServiceKind, shard: usize) -> WireMsg {
+        let coding = service == ServiceKind::Coding;
+        WireMsg::RegisterAck {
+            flow,
+            service: service_to_wire(service),
+            shard: shard as u16,
+            port: self.shard_addrs[shard].port(),
+            coding_k: if coding { self.cfg.coding_k as u8 } else { 0 },
+            coding_m: if coding { self.cfg.coding_m as u8 } else { 0 },
+        }
     }
 }

@@ -1,56 +1,94 @@
-//! The per-shard dataplane task.
+//! The per-shard dataplane thread.
 //!
 //! Each shard owns one UDP socket, one flow table, and one
 //! [`erasure::packets::BatchCodec`]; flows are hash-partitioned onto shards
 //! by [`crate::admission::shard_for`], so the hot path never takes a lock
 //! shared with another shard (the flow table's mutex is per-shard and is
-//! taken once per wakeup, not per packet; the control task takes it briefly
-//! to admit a flow).
+//! taken once per receive, not per packet; the control thread takes it
+//! briefly to admit a flow).
 //!
-//! A wakeup is one trip around the loop:
+//! One turn of the loop is one receive:
 //!
-//! 1. **Ingest** — drain the socket with non-blocking reads, up to
-//!    `recv_batch` datagrams, into the bounded ingress queue.  Datagrams
-//!    beyond the queue's capacity are shed (counted per reason) rather than
-//!    left to overflow kernel buffers silently; malformed datagrams are
-//!    counted and dropped here too.
-//! 2. **Process** — run each queued message through its flow's service:
-//!    forwarding relays the payload downstream, caching appends to the
-//!    flow's bounded cache ring, coding accumulates `k` contiguous payloads
-//!    and encodes `m` parity shards on the live `BatchCodec` path.  NACKs
-//!    are answered from the cache ring (caching) or with the batch's parity
-//!    shards (coding).
-//! 3. **Flush** — write every egress datagram with non-blocking sends; a
-//!    full socket buffer sheds (counted) instead of blocking the shard.
+//! 1. **Receive** — one `recvmmsg` blocks until a datagram arrives (or for
+//!    [`STOP_POLL`], the bound for noticing a stop) and returns every datagram
+//!    already queued, up to `recv_batch`, each in a slot of its own.  There is
+//!    no ingress queue: overload stays in the kernel's socket buffer, which
+//!    drops and counts it.  A datagram larger than a slot is malformed.
+//! 2. **Process** — each datagram is parsed in place ([`WireView`]) and run
+//!    through its flow's service: forwarding re-sends the received bytes,
+//!    unchanged, to the flow's peer; caching copies the payload into the
+//!    flow's [`SeqRing`]; coding accumulates `k` contiguous payloads and keeps
+//!    only the batch's `m` parity shards in the ring.  NACKs are answered
+//!    from the ring: the payload (caching) or the batch's parity (coding).
+//! 3. **Send** — one `sendmmsg(MSG_DONTWAIT)` writes every answer; a full
+//!    socket buffer sheds (counted) instead of blocking the shard.
+//! 4. **Coalesce** — a busy socket is read in batches ([`next_pace`]).
 //!
-//! Every queue and ring is bounded: the ingress queue by `queue_capacity`
-//! (its highwater mark is tracked), the cache ring by `cache_per_flow`, the
-//! parity ring by `parity_per_flow`, and the coding accumulator by
-//! `coding_k`.  Shard memory therefore cannot grow without bound no matter
-//! what the offered load is.
+//! Every buffer is reused (receive slots, answer slab, rings, the coding
+//! accumulator): a warm flow's packet costs no allocation, and shard memory
+//! is bounded whatever the offered load.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use erasure::packets::BatchCodec;
 use jqos_core::select::ServiceKind;
-use tokio::net::UdpSocket;
 
 use crate::metrics::{ShardCounters, ShedReason};
 use crate::relay::RelayConfig;
-use crate::wire::WireMsg;
+use crate::ring::SeqRing;
+use crate::sys::{self, RecvSlots};
+use crate::wire::{Wire, WireView};
 
-/// How long an idle shard sleeps before re-polling its socket (also the
-/// latency bound for noticing a stop request while idle).
-const IDLE_SLICE: Duration = Duration::from_millis(1);
+/// How long a blocked receive waits before its thread re-checks the stop
+/// flag: the read timeout of every shard socket and of the control socket.
+pub const STOP_POLL: Duration = Duration::from_millis(5);
 
-/// How many ingest/process rounds a stopping shard runs to drain its socket
-/// and queue before exiting even under continuous load.
+/// A receive that returned within this found the socket busy.
+pub const BUSY_WAIT: Duration = Duration::from_micros(50);
+
+/// How long a busy shard sleeps before its next receive, so that datagrams
+/// arrive in batches rather than one wake-up each.
+pub const LINGER: Duration = Duration::from_micros(250);
+
+/// A linger that harvests fewer datagrams than this ends lingering: over
+/// [`LINGER`] plus timer slack, under about 30 kpps.  (At 10 kpps with a
+/// NACK beside each data packet, a linger harvests at most eight.)
+pub const MIN_HARVEST: usize = 10;
+
+/// How many receives a stopping shard runs, at most, to drain its socket.
 const DRAIN_ROUNDS: u32 = 16;
+
+/// How a shard waits for its next receive.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pace {
+    /// Block until a datagram arrives.
+    Block,
+    /// Block, but the last receive found the socket busy.
+    Busy,
+    /// Sleep [`LINGER`], then take what arrived.
+    Linger,
+}
+
+/// The coalescing rule: how the shard waits for its next receive, given how
+/// it waited for this one, how long this one blocked and how many datagrams
+/// it returned.  Two receives in a row that return within [`BUSY_WAIT`]
+/// start lingering (one alone is a data packet and its NACK arriving a
+/// moment apart); lingering goes on while a linger harvests at least
+/// [`MIN_HARVEST`].  So at a low rate the shard wakes per packet (latency),
+/// and near capacity per batch (cost).
+pub fn next_pace(pace: Pace, waited: Duration, got: usize) -> Pace {
+    match pace {
+        Pace::Linger if got >= MIN_HARVEST => Pace::Linger,
+        Pace::Linger => Pace::Block,
+        _ if waited >= BUSY_WAIT => Pace::Block,
+        Pace::Block => Pace::Busy,
+        Pace::Busy => Pace::Linger,
+    }
+}
 
 /// Per-flow dataplane state, owned by exactly one shard.
 pub(crate) struct FlowState {
@@ -61,23 +99,42 @@ pub(crate) struct FlowState {
     pub peer: SocketAddr,
     /// The budget the flow registered with, for metrics.
     pub budget_ms: u32,
-    /// Caching service: ring of the most recent `(seq, payload)` copies.
-    cache: std::collections::VecDeque<(u64, Vec<u8>)>,
-    /// Coding service: contiguous run of payloads awaiting a full batch.
-    pending: Vec<(u64, Vec<u8>)>,
-    /// Coding service: ring of encoded batches `(base_seq, parity shards)`.
-    parity: std::collections::VecDeque<(u64, Vec<Bytes>)>,
+    /// Caching: payloads by sequence number.  Coding: each batch's parity
+    /// shards, back to back, by batch index `base_seq / k`.
+    ring: SeqRing,
+    /// Coding: the contiguous run awaiting a full batch, payloads back to
+    /// back, where each ends, and the run's first sequence number.
+    run: Vec<u8>,
+    run_ends: Vec<usize>,
+    run_base: u64,
+    /// Coding: `base_seq % k` of every batch in the ring.  A gap that
+    /// restarts the run on another phase retires the ring's batches.
+    phase: u64,
 }
 
 impl FlowState {
-    pub(crate) fn new(service: ServiceKind, peer: SocketAddr, budget_ms: u32) -> Self {
+    pub(crate) fn new(
+        service: ServiceKind,
+        peer: SocketAddr,
+        budget_ms: u32,
+        cfg: &RelayConfig,
+    ) -> Self {
+        let retained = match service {
+            ServiceKind::Forwarding => 0,
+            ServiceKind::Coding => cfg.parity_per_flow,
+            // Caching, and the degenerate InternetOnly the selector never
+            // assigns.
+            _ => cfg.cache_per_flow,
+        };
         FlowState {
             service,
             peer,
             budget_ms,
-            cache: std::collections::VecDeque::new(),
-            pending: Vec::new(),
-            parity: std::collections::VecDeque::new(),
+            ring: SeqRing::new(retained),
+            run: Vec::new(),
+            run_ends: Vec::new(),
+            run_base: 0,
+            phase: 0,
         }
     }
 }
@@ -85,7 +142,7 @@ impl FlowState {
 /// Shared state of one shard: socket, flow table, counters.
 pub(crate) struct ShardState {
     pub index: usize,
-    pub socket: Arc<UdpSocket>,
+    pub socket: UdpSocket,
     /// Every lock recovers a poisoned guard (`PoisonError::into_inner`) so
     /// that `Relay::shutdown` still reports metrics after a shard thread
     /// panicked; they read only each flow's id, service and budget, which
@@ -94,283 +151,233 @@ pub(crate) struct ShardState {
     pub counters: ShardCounters,
 }
 
-impl ShardState {
-    pub(crate) fn new(index: usize, socket: Arc<UdpSocket>) -> Self {
-        ShardState {
-            index,
-            socket,
-            flows: Mutex::new(HashMap::new()),
-            counters: ShardCounters::default(),
-        }
+/// Where an answer's bytes are.
+#[derive(Clone, Copy)]
+enum Out {
+    /// A receive slot: a forwarded datagram, sent as it arrived.
+    Slot(usize),
+    /// A range of the answer slab: an encoded `Recovered` or `Parity`.
+    Slab(usize, usize),
+}
+
+/// The answers of one turn, sent together.
+#[derive(Default)]
+struct Egress {
+    to: Vec<(SocketAddr, Out)>,
+    slab: Vec<u8>,
+}
+
+impl Egress {
+    fn encode(&mut self, to: SocketAddr, msg: WireView) {
+        let start = self.slab.len();
+        msg.append_to(&mut self.slab);
+        self.to.push((to, Out::Slab(start, self.slab.len())));
     }
 }
 
-/// One queued ingress message.
-type Queued = (WireMsg, SocketAddr);
-
-/// Scratch buffers reused across wakeups (ingress queue, egress batch, and
-/// a pool of encoded-datagram buffers).
-struct Scratch {
-    queue: Vec<Queued>,
-    egress: Vec<(SocketAddr, Vec<u8>)>,
-    pool: Vec<Vec<u8>>,
-    recv: Vec<u8>,
-}
-
-impl Scratch {
-    fn new(queue_capacity: usize) -> Self {
-        Scratch {
-            queue: Vec::with_capacity(queue_capacity),
-            egress: Vec::new(),
-            pool: Vec::new(),
-            recv: vec![0u8; 65_536],
-        }
-    }
-}
-
-/// Runs one shard until `stop` is raised; drains the socket and the ingress
-/// queue before returning.
-pub(crate) async fn run_shard(
-    state: Arc<ShardState>,
-    cfg: Arc<RelayConfig>,
-    stop: Arc<AtomicBool>,
-) {
+/// Runs one shard until `stop` is raised, then drains its socket.
+pub(crate) fn run_shard(state: &ShardState, cfg: &RelayConfig, stop: &AtomicBool) {
+    let c = &state.counters;
     let mut codec = BatchCodec::new();
-    let mut scratch = Scratch::new(cfg.queue_capacity);
-    let mut drain_rounds = 0u32;
+    let mut slots = RecvSlots::new(cfg.recv_batch);
+    let mut egress = Egress::default();
+    let (mut pace, mut drain_rounds) = (Pace::Block, 0u32);
     loop {
         let stopping = stop.load(Ordering::Relaxed);
-        let reads = ingest(&state, &cfg, &mut scratch);
-        if scratch.queue.is_empty() {
-            if stopping {
-                break;
-            }
-            tokio::time::sleep(IDLE_SLICE).await;
+        if pace == Pace::Linger && !stopping {
+            std::thread::sleep(LINGER);
+        }
+        let started = Instant::now();
+        let got = sys::recv_batch(&state.socket, &mut slots);
+        c.recv_syscalls.fetch_add(1, Ordering::Relaxed);
+        pace = next_pace(pace, started.elapsed(), got);
+        if got == 0 && stopping {
+            break;
+        } else if got == 0 {
             continue;
         }
-        state.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-        process(&state, &cfg, &mut codec, &mut scratch);
-        flush(&state, &mut scratch);
+        c.wakeups.fetch_add(1, Ordering::Relaxed);
+        c.datagrams_rx.fetch_add(got as u64, Ordering::Relaxed);
+        c.note_queue_depth(got);
+        process(state, cfg, &mut codec, &slots, got, &mut egress);
+        flush(state, &slots, &mut egress);
         if stopping {
             drain_rounds += 1;
             if drain_rounds >= DRAIN_ROUNDS {
                 break;
             }
         }
-        // A full batch read means the socket may still hold a burst: loop
-        // again immediately; otherwise the next ingest starts fresh anyway.
-        let _ = reads;
     }
 }
 
-/// Drains the socket into the bounded ingress queue.  Returns the number of
-/// datagrams pulled off the socket.
-fn ingest(state: &ShardState, cfg: &RelayConfig, scratch: &mut Scratch) -> usize {
-    let mut reads = 0usize;
-    let mut syscalls = 0u64;
-    while reads < cfg.recv_batch {
-        syscalls += 1;
-        match state.socket.try_recv_from(&mut scratch.recv) {
-            Ok(Some((len, from))) => {
-                reads += 1;
-                match WireMsg::decode(&scratch.recv[..len]) {
-                    Some(msg) => {
-                        if scratch.queue.len() >= cfg.queue_capacity {
-                            state.counters.shed(ShedReason::QueueFull);
-                        } else {
-                            scratch.queue.push((msg, from));
-                        }
-                    }
-                    None => state.counters.shed(ShedReason::Malformed),
-                }
-            }
-            Ok(None) => break,
-            // UDP has no connection state to recover; count and move on.
-            Err(_) => break,
-        }
-    }
-    state
-        .counters
-        .recv_syscalls
-        .fetch_add(syscalls, Ordering::Relaxed);
-    state
-        .counters
-        .datagrams_rx
-        .fetch_add(reads as u64, Ordering::Relaxed);
-    state.counters.note_queue_depth(scratch.queue.len());
-    reads
-}
-
-/// Processes every queued message under one flow-table lock.
-fn process(state: &ShardState, cfg: &RelayConfig, codec: &mut BatchCodec, scratch: &mut Scratch) {
+/// Runs the `got` received datagrams through their flows' services under
+/// one flow-table lock.
+fn process(
+    state: &ShardState,
+    cfg: &RelayConfig,
+    codec: &mut BatchCodec,
+    slots: &RecvSlots,
+    got: usize,
+    egress: &mut Egress,
+) {
+    let c = &state.counters;
     let mut flows = state.flows.lock().unwrap_or_else(PoisonError::into_inner);
-    let queue = std::mem::take(&mut scratch.queue);
-    for (msg, from) in &queue {
+    for i in 0..got {
+        let (bytes, from) = slots.datagram(i);
+        let Some(msg) = bytes.and_then(WireView::parse) else {
+            c.shed(ShedReason::Malformed);
+            continue;
+        };
         match msg {
-            WireMsg::Data { flow, seq, payload } => {
-                let Some(fs) = flows.get_mut(flow) else {
-                    state.counters.shed(ShedReason::UnknownFlow);
+            Wire::Data { flow, seq, payload } => {
+                let Some(fs) = flows.get_mut(&flow) else {
+                    c.shed(ShedReason::UnknownFlow);
                     continue;
                 };
-                state.counters.data_rx.fetch_add(1, Ordering::Relaxed);
+                c.data_rx.fetch_add(1, Ordering::Relaxed);
                 match fs.service {
                     ServiceKind::Forwarding => {
-                        let mut buf = scratch.pool.pop().unwrap_or_default();
-                        WireMsg::Data {
-                            flow: *flow,
-                            seq: *seq,
-                            payload: payload.clone(),
-                        }
-                        .encode_into(&mut buf);
-                        scratch.egress.push((fs.peer, buf));
-                        state.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                        egress.to.push((fs.peer, Out::Slot(i)));
+                        c.forwarded.fetch_add(1, Ordering::Relaxed);
                     }
-                    ServiceKind::Coding => {
-                        on_coding_data(state, cfg, codec, fs, *seq, payload);
-                    }
-                    // Caching (and the degenerate InternetOnly, which the
-                    // selector never assigns) keep a bounded copy ring.
+                    ServiceKind::Coding => on_coding_data(c, cfg, codec, fs, seq, payload),
                     _ => {
-                        fs.cache.push_back((*seq, payload.clone()));
-                        state.counters.cached.fetch_add(1, Ordering::Relaxed);
-                        if fs.cache.len() > cfg.cache_per_flow {
-                            fs.cache.pop_front();
-                            state.counters.cache_evicted.fetch_add(1, Ordering::Relaxed);
-                        }
+                        let evicted = fs.ring.insert_with(seq, |b| b.extend_from_slice(payload));
+                        c.cached.fetch_add(1, Ordering::Relaxed);
+                        c.cache_evicted.fetch_add(evicted, Ordering::Relaxed);
                     }
                 }
             }
-            WireMsg::Nack { flow, seq } => {
-                let Some(fs) = flows.get_mut(flow) else {
-                    state.counters.shed(ShedReason::UnknownFlow);
+            Wire::Nack { flow, seq } => {
+                let Some(fs) = flows.get(&flow) else {
+                    c.shed(ShedReason::UnknownFlow);
                     continue;
                 };
-                state.counters.nacks_rx.fetch_add(1, Ordering::Relaxed);
-                if fs.service == ServiceKind::Coding {
-                    let k = cfg.coding_k as u64;
-                    match fs.parity.iter().find(|(b, _)| *b <= *seq && *seq < *b + k) {
-                        Some((base, shards)) => {
-                            for (i, shard) in shards.iter().enumerate() {
-                                let mut buf = scratch.pool.pop().unwrap_or_default();
-                                WireMsg::Parity {
-                                    flow: *flow,
-                                    base_seq: *base,
-                                    index: i as u8,
-                                    payload: shard.to_vec(),
-                                }
-                                .encode_into(&mut buf);
-                                scratch.egress.push((*from, buf));
-                                state.counters.parity_served.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        None => {
-                            state
-                                .counters
-                                .recovery_misses
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                } else {
-                    match fs.cache.iter().find(|(s, _)| s == seq) {
-                        Some((_, payload)) => {
-                            let mut buf = scratch.pool.pop().unwrap_or_default();
-                            WireMsg::Recovered {
-                                flow: *flow,
-                                seq: *seq,
-                                payload: payload.clone(),
-                            }
-                            .encode_into(&mut buf);
-                            scratch.egress.push((*from, buf));
-                            state
-                                .counters
-                                .recoveries_served
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => {
-                            state
-                                .counters
-                                .recovery_misses
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                c.nacks_rx.fetch_add(1, Ordering::Relaxed);
+                if !answer_nack(c, cfg, fs, flow, seq, from, egress) {
+                    c.recovery_misses.fetch_add(1, Ordering::Relaxed);
                 }
             }
             // Anything else is not meaningful on a data socket.
-            _ => state.counters.shed(ShedReason::UnknownFlow),
+            _ => c.shed(ShedReason::UnknownFlow),
         }
     }
-    drop(flows);
-    scratch.queue = queue;
-    scratch.queue.clear();
+}
+
+/// Answers a NACK from the flow's ring; `false` when nothing there covers
+/// `seq`.
+fn answer_nack(
+    c: &ShardCounters,
+    cfg: &RelayConfig,
+    fs: &FlowState,
+    flow: u32,
+    seq: u64,
+    to: SocketAddr,
+    egress: &mut Egress,
+) -> bool {
+    if fs.service != ServiceKind::Coding {
+        let Some(payload) = fs.ring.get(seq) else {
+            return false;
+        };
+        egress.encode(to, Wire::Recovered { flow, seq, payload });
+        c.recoveries_served.fetch_add(1, Ordering::Relaxed);
+        return true;
+    }
+    let k = cfg.coding_k as u64;
+    let Some(batch) = seq.checked_sub(fs.phase).map(|d| d / k) else {
+        return false;
+    };
+    let Some(parity) = fs.ring.get(batch) else {
+        return false;
+    };
+    let base_seq = batch * k + fs.phase;
+    for (index, payload) in parity.chunks_exact(parity.len() / cfg.coding_m).enumerate() {
+        let index = index as u8;
+        let shard = Wire::Parity {
+            flow,
+            base_seq,
+            index,
+            payload,
+        };
+        egress.encode(to, shard);
+        c.parity_served.fetch_add(1, Ordering::Relaxed);
+    }
+    true
 }
 
 /// Coding-service ingest: accumulate a contiguous run of `k` payloads, then
 /// encode `m` parity shards and retire the run (the relay keeps *only* the
 /// parity — that is the coding service's bandwidth/memory saving).
 fn on_coding_data(
-    state: &ShardState,
+    c: &ShardCounters,
     cfg: &RelayConfig,
     codec: &mut BatchCodec,
     fs: &mut FlowState,
     seq: u64,
     payload: &[u8],
 ) {
-    if let Some(&(last, _)) = fs.pending.last() {
-        if seq != last + 1 {
-            // A gap in the cloud-copy stream: restart the batch on the new
-            // run (counted — an incomplete batch can never serve recovery).
-            fs.pending.clear();
-            state
-                .counters
-                .coding_resyncs
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    let k = cfg.coding_k;
+    if !fs.run_ends.is_empty() && seq != fs.run_base.wrapping_add(fs.run_ends.len() as u64) {
+        // A gap in the cloud-copy stream: restart the batch on the new run
+        // (counted — an incomplete batch can never serve recovery).
+        fs.run.clear();
+        fs.run_ends.clear();
+        c.coding_resyncs.fetch_add(1, Ordering::Relaxed);
     }
-    fs.pending.push((seq, payload.to_vec()));
-    if fs.pending.len() < cfg.coding_k {
+    if fs.run_ends.is_empty() {
+        fs.run_base = seq;
+    }
+    fs.run.extend_from_slice(payload);
+    fs.run_ends.push(fs.run.len());
+    if fs.run_ends.len() < k {
         return;
     }
-    let packets: Vec<&[u8]> = fs.pending.iter().map(|(_, p)| p.as_slice()).collect();
-    match codec.encode_batch(&packets, cfg.coding_m) {
+    // `k + m <= 255` is checked at bind.
+    let mut packets = [&[][..]; 255];
+    let mut start = 0;
+    for (p, &end) in packets.iter_mut().zip(&fs.run_ends) {
+        *p = &fs.run[start..end];
+        start = end;
+    }
+    match codec.encode_batch(&packets[..k], cfg.coding_m) {
         Ok(view) => {
-            let base = fs.pending[0].0;
-            fs.parity.push_back((base, view.parity));
-            state
-                .counters
-                .batches_encoded
-                .fetch_add(1, Ordering::Relaxed);
-            if fs.parity.len() > cfg.parity_per_flow {
-                fs.parity.pop_front();
-                state
-                    .counters
-                    .parity_evicted
-                    .fetch_add(1, Ordering::Relaxed);
+            let (base, k) = (fs.run_base, k as u64);
+            if base % k != fs.phase {
+                c.parity_evicted
+                    .fetch_add(fs.ring.clear(), Ordering::Relaxed);
+                fs.phase = base % k;
             }
+            let evicted = fs.ring.insert_with(base / k, |b| {
+                view.parity.iter().for_each(|p| b.extend_from_slice(p));
+            });
+            c.parity_evicted.fetch_add(evicted, Ordering::Relaxed);
+            c.batches_encoded.fetch_add(1, Ordering::Relaxed);
         }
+        // Unreachable with a validated config (k, m bounded at bind);
+        // drop the batch rather than poison the shard.
         Err(_) => {
-            // Unreachable with a validated config (k, m bounded at bind);
-            // drop the batch rather than poison the shard.
-            state
-                .counters
-                .coding_resyncs
-                .fetch_add(1, Ordering::Relaxed);
+            c.coding_resyncs.fetch_add(1, Ordering::Relaxed);
         }
     }
-    fs.pending.clear();
+    fs.run.clear();
+    fs.run_ends.clear();
 }
 
-/// Writes the egress batch with non-blocking sends; a full socket buffer or
-/// a send error sheds the datagram (counted) instead of stalling the shard.
-fn flush(state: &ShardState, scratch: &mut Scratch) {
-    let egress = std::mem::take(&mut scratch.egress);
-    for (addr, buf) in egress {
-        match state.socket.try_send_to(&buf, addr) {
-            Ok(Some(_)) => {
-                state.counters.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(None) | Err(_) => state.counters.shed(ShedReason::EgressFull),
-        }
-        scratch.pool.push(buf);
+/// Sends the turn's answers in one batch; what the socket does not take is
+/// shed and counted.
+fn flush(state: &ShardState, slots: &RecvSlots, egress: &mut Egress) {
+    if egress.to.is_empty() {
+        return;
     }
-    scratch.pool.truncate(256);
+    let slab = &egress.slab;
+    let sent = sys::send_batch(&state.socket, &egress.to, |&(to, out)| match out {
+        Out::Slot(i) => (to, slots.bytes(i)),
+        Out::Slab(start, end) => (to, &slab[start..end]),
+    });
+    let c = &state.counters;
+    c.datagrams_tx.fetch_add(sent as u64, Ordering::Relaxed);
+    c.shed_egress_full
+        .fetch_add((egress.to.len() - sent) as u64, Ordering::Relaxed);
+    egress.to.clear();
+    egress.slab.clear();
 }

@@ -2,7 +2,7 @@
 //!
 //! Every datagram starts with a 1-byte type tag and a 4-byte big-endian flow
 //! id; the remaining layout is per-message and length-checked exactly, so
-//! [`WireMsg::decode`] returns `None` (never panics, never mis-parses) for
+//! [`WireView::parse`] returns `None` (never panics, never mis-parses) for
 //! truncated or garbage datagrams.  This is a stand-in for the prototype's
 //! J-QoS encapsulation header (§5 of the paper), extended with the
 //! `register(latency_budget)` admission handshake of §3.5 and the parity
@@ -87,9 +87,10 @@ pub fn service_from_wire(code: u8) -> Option<ServiceKind> {
     }
 }
 
-/// Messages carried over UDP.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireMsg {
+/// Messages carried over UDP, generic over how the payload is held:
+/// [`WireMsg`] owns it, [`WireView`] borrows it from the datagram.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wire<P> {
     /// Application data (direct path or cloud copy).
     Data {
         /// Flow identifier.
@@ -97,7 +98,7 @@ pub enum WireMsg {
         /// Sequence number.
         seq: u64,
         /// Application payload.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Receiver-driven negative acknowledgement.
     Nack {
@@ -113,7 +114,7 @@ pub enum WireMsg {
         /// Sequence number.
         seq: u64,
         /// Application payload.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Admission request: `register(latency_budget)` over the wire.
     Register {
@@ -155,15 +156,22 @@ pub enum WireMsg {
         /// Parity shard index within the batch (`0..m`).
         index: u8,
         /// Parity shard bytes (all shards of a batch have equal length).
-        payload: Vec<u8>,
+        payload: P,
     },
 }
 
-impl WireMsg {
+/// A message that owns its payload.
+pub type WireMsg = Wire<Vec<u8>>;
+
+/// A message whose payload borrows the datagram it was parsed from: the
+/// relay's hot path parses with it and never copies a payload to read it.
+pub type WireView<'a> = Wire<&'a [u8]>;
+
+impl<P: AsRef<[u8]>> Wire<P> {
     /// Serialises the message into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode_into(&mut out);
+        self.append_to(&mut out);
         out
     }
 
@@ -171,124 +179,135 @@ impl WireMsg {
     /// one scratch buffer across sends.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.append_to(out);
+    }
+
+    /// Appends the encoded message to `out`.
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) {
+        let (tag, flow) = match self {
+            Wire::Data { flow, .. } => (TAG_DATA, flow),
+            Wire::Nack { flow, .. } => (TAG_NACK, flow),
+            Wire::Recovered { flow, .. } => (TAG_RECOVERED, flow),
+            Wire::Register { flow, .. } => (TAG_REGISTER, flow),
+            Wire::RegisterAck { flow, .. } => (TAG_REGISTER_ACK, flow),
+            Wire::RegisterNack { flow, .. } => (TAG_REGISTER_NACK, flow),
+            Wire::Parity { flow, .. } => (TAG_PARITY, flow),
+        };
+        out.push(tag);
+        out.extend_from_slice(&flow.to_be_bytes());
         match self {
-            WireMsg::Data { flow, seq, payload } => {
-                out.reserve(13 + payload.len());
-                out.push(TAG_DATA);
-                out.extend_from_slice(&flow.to_be_bytes());
+            Wire::Data { seq, payload, .. } | Wire::Recovered { seq, payload, .. } => {
                 out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(payload);
+                out.extend_from_slice(payload.as_ref());
             }
-            WireMsg::Nack { flow, seq } => {
-                out.push(TAG_NACK);
-                out.extend_from_slice(&flow.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-            }
-            WireMsg::Recovered { flow, seq, payload } => {
-                out.reserve(13 + payload.len());
-                out.push(TAG_RECOVERED);
-                out.extend_from_slice(&flow.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(payload);
-            }
-            WireMsg::Register {
-                flow,
+            Wire::Nack { seq, .. } => out.extend_from_slice(&seq.to_be_bytes()),
+            Wire::Register {
                 budget_ms,
                 loss_tolerant,
+                ..
             } => {
-                out.push(TAG_REGISTER);
-                out.extend_from_slice(&flow.to_be_bytes());
                 out.extend_from_slice(&budget_ms.to_be_bytes());
                 out.push(u8::from(*loss_tolerant));
             }
-            WireMsg::RegisterAck {
-                flow,
+            Wire::RegisterAck {
                 service,
                 shard,
                 port,
                 coding_k,
                 coding_m,
+                ..
             } => {
-                out.push(TAG_REGISTER_ACK);
-                out.extend_from_slice(&flow.to_be_bytes());
                 out.push(*service);
                 out.extend_from_slice(&shard.to_be_bytes());
                 out.extend_from_slice(&port.to_be_bytes());
                 out.push(*coding_k);
                 out.push(*coding_m);
             }
-            WireMsg::RegisterNack { flow, reason } => {
-                out.push(TAG_REGISTER_NACK);
-                out.extend_from_slice(&flow.to_be_bytes());
-                out.push(*reason);
-            }
-            WireMsg::Parity {
-                flow,
+            Wire::RegisterNack { reason, .. } => out.push(*reason),
+            Wire::Parity {
                 base_seq,
                 index,
                 payload,
+                ..
             } => {
-                out.reserve(14 + payload.len());
-                out.push(TAG_PARITY);
-                out.extend_from_slice(&flow.to_be_bytes());
                 out.extend_from_slice(&base_seq.to_be_bytes());
                 out.push(*index);
-                out.extend_from_slice(payload);
+                out.extend_from_slice(payload.as_ref());
             }
         }
     }
+}
 
+impl<'a> WireView<'a> {
     /// Parses a datagram; returns `None` for anything malformed (short
     /// buffers, unknown tags, wrong exact lengths for fixed-size messages).
-    pub fn decode(buf: &[u8]) -> Option<WireMsg> {
-        if buf.len() < 5 {
-            return None;
-        }
-        let tag = buf[0];
-        let flow = u32::from_be_bytes(buf[1..5].try_into().ok()?);
-        let rest = &buf[5..];
-        let seq_of =
-            |b: &[u8]| -> Option<u64> { Some(u64::from_be_bytes(b.get(..8)?.try_into().ok()?)) };
-        match tag {
-            TAG_DATA => Some(WireMsg::Data {
-                flow,
-                seq: seq_of(rest)?,
-                payload: rest[8..].to_vec(),
-            }),
-            TAG_NACK if rest.len() == 8 => Some(WireMsg::Nack {
-                flow,
-                seq: seq_of(rest)?,
-            }),
-            TAG_RECOVERED => Some(WireMsg::Recovered {
-                flow,
-                seq: seq_of(rest)?,
-                payload: rest[8..].to_vec(),
-            }),
-            TAG_REGISTER if rest.len() == 5 => Some(WireMsg::Register {
+    /// The only parser: [`WireMsg::decode`] is this plus a payload copy.
+    pub fn parse(buf: &'a [u8]) -> Option<Self> {
+        let (&tag, rest) = buf.split_first()?;
+        let (flow, rest) = rest.split_first_chunk::<4>()?;
+        let flow = u32::from_be_bytes(*flow);
+        let seq_and = |rest: &'a [u8]| {
+            let (seq, tail) = rest.split_first_chunk::<8>()?;
+            Some((u64::from_be_bytes(*seq), tail))
+        };
+        match (tag, rest.len()) {
+            (TAG_DATA, _) => seq_and(rest).map(|(seq, payload)| Wire::Data { flow, seq, payload }),
+            (TAG_NACK, 8) => seq_and(rest).map(|(seq, _)| Wire::Nack { flow, seq }),
+            (TAG_RECOVERED, _) => {
+                seq_and(rest).map(|(seq, payload)| Wire::Recovered { flow, seq, payload })
+            }
+            (TAG_REGISTER, 5) => Some(Wire::Register {
                 flow,
                 budget_ms: u32::from_be_bytes(rest[..4].try_into().ok()?),
                 loss_tolerant: rest[4] != 0,
             }),
-            TAG_REGISTER_ACK if rest.len() == 7 => Some(WireMsg::RegisterAck {
+            (TAG_REGISTER_ACK, 7) => Some(Wire::RegisterAck {
                 flow,
                 service: rest[0],
-                shard: u16::from_be_bytes(rest[1..3].try_into().ok()?),
-                port: u16::from_be_bytes(rest[3..5].try_into().ok()?),
+                shard: u16::from_be_bytes([rest[1], rest[2]]),
+                port: u16::from_be_bytes([rest[3], rest[4]]),
                 coding_k: rest[5],
                 coding_m: rest[6],
             }),
-            TAG_REGISTER_NACK if rest.len() == 1 => Some(WireMsg::RegisterNack {
+            (TAG_REGISTER_NACK, 1) => Some(Wire::RegisterNack {
                 flow,
                 reason: rest[0],
             }),
-            TAG_PARITY if rest.len() >= 9 => Some(WireMsg::Parity {
+            (TAG_PARITY, 9..) => seq_and(rest).map(|(base_seq, tail)| Wire::Parity {
                 flow,
-                base_seq: seq_of(rest)?,
-                index: rest[8],
-                payload: rest[9..].to_vec(),
+                base_seq,
+                index: tail[0],
+                payload: &tail[1..],
             }),
             _ => None,
         }
+    }
+
+    /// The same message with its payload copied out of the datagram.
+    #[rustfmt::skip]
+    pub fn to_owned(self) -> WireMsg {
+        use Wire::*;
+        let own = <[u8]>::to_vec;
+        match self {
+            Data { flow, seq, payload } => Data { flow, seq, payload: own(payload) },
+            Recovered { flow, seq, payload } => Recovered { flow, seq, payload: own(payload) },
+            Parity { flow, base_seq, index, payload } =>
+                Parity { flow, base_seq, index, payload: own(payload) },
+            Nack { flow, seq } => Nack { flow, seq },
+            Register { flow, budget_ms, loss_tolerant } =>
+                Register { flow, budget_ms, loss_tolerant },
+            RegisterAck { flow, service, shard, port, coding_k, coding_m } =>
+                RegisterAck { flow, service, shard, port, coding_k, coding_m },
+            RegisterNack { flow, reason } => RegisterNack { flow, reason },
+        }
+    }
+}
+
+impl WireMsg {
+    /// Parses a datagram into an owned message: [`WireView::parse`] followed
+    /// by [`WireView::to_owned`].
+    pub fn decode(buf: &[u8]) -> Option<WireMsg> {
+        WireView::parse(buf).map(WireView::to_owned)
     }
 }
 

@@ -8,7 +8,8 @@
 use std::time::Duration;
 
 use jqos_core::select::{Registration, ServiceKind, ServiceSelector};
-use jqos_net::{shard_for, FlowSpec, LoadWorker, RejectReason, Relay, RelayConfig};
+use jqos_net::shard::STOP_POLL;
+use jqos_net::{shard_for, FlowSpec, LoadWorker, RejectReason, Relay, RelayConfig, WireMsg};
 use netsim::Dur;
 
 async fn start_relay(cfg: RelayConfig) -> Relay {
@@ -183,45 +184,102 @@ async fn forwarding_flow_relays_every_packet() {
     assert_eq!(totals.forwarded, 30);
 }
 
-/// Overload: a deliberately tiny ingress queue under open-loop blast load
-/// sheds (counted, by reason) and the queue's highwater mark never exceeds
-/// the configured bound.
+/// Overload: an open-loop blast over all three services is accounted for
+/// datagram by datagram.  There is no ingress queue to overflow: a shard
+/// takes at most `recv_batch` datagrams per receive, and what its socket
+/// buffer cannot hold is the kernel's drop, never a relay shed.
 #[tokio::test]
-async fn overload_sheds_by_reason_and_respects_the_queue_bound() {
+async fn overload_is_accounted_and_batches_stay_within_recv_batch() {
     let cfg = RelayConfig {
         shards: 1,
-        queue_capacity: 8,
         ..RelayConfig::default()
     };
+    let recv_batch = cfg.recv_batch as u64;
     let mut relay = start_relay(cfg).await;
     let mut worker = worker_for(&relay);
-    for flow in 0..4u32 {
-        worker.add_flow(spec(flow, 150, None));
+    // Budgets that select coding, caching and forwarding (twice).
+    for (flow, budget) in [(0u32, 150u32), (1, 100), (2, 91), (3, 91)] {
+        worker.add_flow(spec(flow, budget, None));
     }
     worker.register(Duration::from_secs(5)).expect("register");
 
     let offered = worker.blast(Duration::from_millis(250));
     assert!(offered > 1_000, "blast offered only {offered}");
 
-    let metrics = relay.shutdown().await;
-    let totals = metrics.totals();
-    assert!(
-        totals.shed_queue_full > 0,
-        "an 8-deep queue under blast load must shed: {totals:?}"
-    );
-    assert!(
-        totals.queue_highwater <= 8,
-        "queue highwater {} exceeds the configured bound",
-        totals.queue_highwater
-    );
-    // Shed accounting is per reason, and the sum is consistent.
+    let t = relay.shutdown().await.totals();
+    assert!(t.datagrams_rx <= offered, "{t:?}");
     assert_eq!(
-        totals.shed_total(),
-        totals.shed_queue_full
-            + totals.malformed_rx
-            + totals.shed_unknown_flow
-            + totals.shed_egress_full
+        t.datagrams_rx,
+        t.data_rx + t.nacks_rx + t.shed_queue_full + t.malformed_rx + t.shed_unknown_flow,
+        "ingress law: every datagram pulled has one fate: {t:?}"
     );
+    assert_eq!(
+        t.forwarded + t.recoveries_served + t.parity_served,
+        t.datagrams_tx + t.shed_egress_full,
+        "egress law: every answer is written or shed: {t:?}"
+    );
+    assert!(
+        (1..=recv_batch).contains(&t.queue_highwater),
+        "highwater {} outside 1..={recv_batch}",
+        t.queue_highwater
+    );
+    assert_eq!(t.shed_queue_full, 0);
+    assert!(
+        t.forwarded > 0 && t.cached > 0 && t.batches_encoded > 0,
+        "{t:?}"
+    );
+}
+
+/// An idle shard sleeps in its receive: one receive per read timeout, not
+/// one per millisecond.
+#[tokio::test]
+async fn an_idle_shard_blocks_instead_of_polling() {
+    let cfg = RelayConfig {
+        shards: 1,
+        ..RelayConfig::default()
+    };
+    let mut relay = start_relay(cfg).await;
+    let before = relay.metrics().totals();
+    std::thread::sleep(Duration::from_millis(100));
+    let after = relay.metrics().totals();
+    let issued = after.recv_syscalls - before.recv_syscalls;
+    let bound = (100 / STOP_POLL.as_millis() + 2) as u64;
+    assert!(
+        issued <= bound,
+        "{issued} receives in 100 ms, bound {bound}"
+    );
+    assert_eq!(after.wakeups, 0);
+    relay.shutdown().await;
+}
+
+/// A datagram larger than a receive slot is counted as malformed, and the
+/// shard goes on to relay what follows it.
+#[tokio::test]
+async fn an_oversized_datagram_is_counted_and_does_not_wedge_the_shard() {
+    let cfg = RelayConfig {
+        shards: 1,
+        ..RelayConfig::default()
+    };
+    let mut relay = start_relay(cfg).await;
+    let mut worker = worker_for(&relay);
+    worker.add_flow(spec(51, 91, None));
+    worker.register(Duration::from_secs(5)).expect("register");
+    let sock = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    let big = WireMsg::Data {
+        flow: 51,
+        seq: 0,
+        payload: vec![7; 4000],
+    };
+    sock.send_to(&big.encode(), relay.shard_addrs()[0])
+        .expect("send");
+
+    worker
+        .run_paced(5, Duration::from_millis(1), Duration::from_millis(300))
+        .expect("paced run");
+    assert_eq!(worker.flow_view(51).unwrap().delivered, 5);
+    let totals = relay.shutdown().await.totals();
+    assert_eq!(totals.malformed_rx, 1);
+    assert_eq!(totals.forwarded, 5);
 }
 
 /// Graceful stop: datagrams already accepted by the shard socket are
@@ -276,7 +334,7 @@ async fn mixed_services_share_shards_without_loss() {
         shards: 2,
         ..RelayConfig::default()
     };
-    let queue_capacity = cfg.queue_capacity as u64;
+    let recv_batch = cfg.recv_batch as u64;
     let mut relay = start_relay(cfg).await;
     let mut worker = worker_for(&relay);
     for flow in 0..ADMISSIBLE {
@@ -321,5 +379,5 @@ async fn mixed_services_share_shards_without_loss() {
     for shard in &metrics.shards {
         assert!(shard.data_rx > 0, "idle shard: {shard:?}");
     }
-    assert!(metrics.totals().queue_highwater <= queue_capacity);
+    assert!(metrics.totals().queue_highwater <= recv_batch);
 }

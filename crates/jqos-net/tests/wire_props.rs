@@ -6,9 +6,13 @@
 //!    relay and the load workers speak the same language;
 //! 2. `decode` never panics on hostile input — truncations of valid
 //!    messages and arbitrary garbage both come back as `None`, which the
-//!    shard loop counts as `malformed_rx` instead of crashing.
+//!    shard loop counts as `malformed_rx` instead of crashing;
+//! 3. the borrowed parser the relay runs is the owned decoder: on any bytes
+//!    `WireView::parse` then `to_owned` equals `WireMsg::decode`, and a data
+//!    datagram the relay forwards unchanged is exactly the encoding of the
+//!    message it parses to.
 
-use jqos_net::wire::WireMsg;
+use jqos_net::wire::{WireMsg, WireView};
 use proptest::prelude::*;
 
 fn payload() -> impl Strategy<Value = Vec<u8>> {
@@ -99,5 +103,28 @@ proptest! {
         let mut bytes = vec![tag];
         bytes.extend_from_slice(&rest);
         prop_assert_eq!(WireMsg::decode(&bytes), None);
+    }
+
+    /// The view parser and the owned decoder agree on arbitrary bytes,
+    /// well-formed or not.
+    #[test]
+    fn view_parse_then_to_owned_is_decode(bytes in proptest::collection::vec(any::<u8>(), 0..64), tag in 0u8..9) {
+        let mut bytes = bytes;
+        if let Some(first) = bytes.first_mut() {
+            *first = tag;
+        }
+        prop_assert_eq!(WireView::parse(&bytes).map(WireView::to_owned), WireMsg::decode(&bytes));
+    }
+
+    /// Forwarding re-sends the received datagram as it is: those bytes are
+    /// what re-encoding the parsed `Data` message would have produced.
+    #[test]
+    fn a_forwarded_datagram_is_the_data_encoding(rest in proptest::collection::vec(any::<u8>(), 12..300)) {
+        let mut datagram = vec![1u8];
+        datagram.extend_from_slice(&rest);
+        let view = WireView::parse(&datagram);
+        prop_assert!(matches!(view, Some(WireView::Data { .. })));
+        let msg = view.map(WireView::to_owned).unwrap();
+        prop_assert_eq!(msg.encode(), datagram);
     }
 }

@@ -1,4 +1,4 @@
-//! Live loopback deployment of the sharded J-QoS relay (tokio prototype).
+//! Live loopback deployment of the sharded J-QoS relay.
 //!
 //! Starts a 2-shard relay on real UDP sockets, registers a handful of flows
 //! over the wire — each with a latency budget, so the relay's admission path
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use jqos::net::{FlowSpec, LoadWorker, Relay, RelayConfig};
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 2)]
+#[tokio::main]
 async fn main() -> std::io::Result<()> {
     let mut relay = Relay::bind("127.0.0.1:0", RelayConfig::default()).await?;
     relay.start();

@@ -12,7 +12,8 @@
 //! * [`workloads`] — CBR / video / web / mobile traffic models;
 //! * [`measurements`] — synthetic RIPE-Atlas / PlanetLab datasets;
 //! * [`qoe`] — the PSNR model for the video case study;
-//! * [`net`] (`jqos-net`) — the tokio-based live UDP prototype.
+//! * [`net`] (`jqos-net`) — the live UDP prototype: a sharded relay and
+//!   its load-generation endpoints on real sockets.
 
 pub use erasure;
 pub use jqos_core as core;
