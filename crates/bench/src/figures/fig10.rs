@@ -25,6 +25,9 @@ json_struct! {
         ingress_kpps: f64,
         egress_kpps: f64,
         speedup_vs_one_thread: f64,
+        /// More threads than the machine has cores: past that point the
+        /// speedup measures the machine, not the encoder.
+        oversubscribed: bool,
     }
 }
 
@@ -70,6 +73,7 @@ pub fn run() {
     // One worker: each point saturates the machine's cores by itself.
     let out = suite.run(1);
 
+    let env = environment();
     let mut points: Vec<ScalingPoint> = Vec::new();
     let mut base_kpps = 0.0;
     for p in out.report.points() {
@@ -93,6 +97,7 @@ pub fn run() {
             ingress_kpps,
             egress_kpps,
             speedup_vs_one_thread: speedup,
+            oversubscribed: threads > env.nproc,
         });
     }
 
@@ -105,6 +110,12 @@ pub fn run() {
         "  -> measured speedup at {} threads: {:.1}x",
         last.threads, last.speedup_vs_one_thread
     );
+    if points.iter().any(|p| p.oversubscribed) {
+        println!(
+            "  -> speedup above {} threads is unverifiable on this machine",
+            env.nproc
+        );
+    }
 
     // Context from the paper: one thread handles ~150 concurrent HD calls.
     let single_thread_pps = base_kpps * 1_000.0;
@@ -115,7 +126,7 @@ pub fn run() {
     write_json(
         "fig10_encoding_scaling",
         &ScalingReport {
-            environment: environment(),
+            environment: env,
             points,
         },
     );

@@ -12,7 +12,7 @@ use netsim::prelude::*;
 use super::PacketOutcome;
 use crate::coding::params::CodingParams;
 use crate::nodes::dc1::Dc1Node;
-use crate::nodes::dc2::{Dc2Config, Dc2Node};
+use crate::nodes::dc2::Dc2Node;
 use crate::nodes::receiver::{ReceiverConfig, ReceiverNode};
 use crate::nodes::sender::SenderNode;
 use crate::nodes::source::TrafficSource;
@@ -42,16 +42,10 @@ impl Deployment {
     /// Adds DC1 and `egress_dcs` egress DCs to a fresh simulator.  `rtt` is
     /// the nominal direct-path round trip the receivers' loss detectors are
     /// tuned to.
-    pub fn new(
-        mut sim: Simulator<Msg>,
-        coding: CodingParams,
-        dc2_config: Dc2Config,
-        egress_dcs: usize,
-        rtt: Dur,
-    ) -> Self {
+    pub fn new(mut sim: Simulator<Msg>, coding: CodingParams, egress_dcs: usize, rtt: Dur) -> Self {
         let dc1 = sim.add_node(Dc1Node::new(coding));
         let dc2s = (0..egress_dcs)
-            .map(|_| sim.add_node(Dc2Node::new(dc2_config)))
+            .map(|_| sim.add_node(Dc2Node::default()))
             .collect();
         Deployment {
             sim,

@@ -21,7 +21,7 @@ use netsim::trace::EpisodeBreakdown;
 use self::deploy::Deployment;
 use crate::coding::params::CodingParams;
 use crate::nodes::dc1::Dc1Node;
-use crate::nodes::dc2::{Dc2Config, Dc2Node};
+use crate::nodes::dc2::Dc2Node;
 use crate::nodes::receiver::{DeliveryMethod, ReceiverNode};
 use crate::nodes::sender::SenderNode;
 use crate::nodes::source::TrafficSource;
@@ -42,7 +42,6 @@ pub struct Scenario {
     seed: u64,
     topology: Topology,
     coding: CodingParams,
-    dc2_config: Dc2Config,
     flows: Vec<FlowPlan>,
     queue: QueueKind,
 }
@@ -54,7 +53,6 @@ impl Scenario {
             seed,
             topology: Topology::default(),
             coding: CodingParams::default(),
-            dc2_config: Dc2Config::default(),
             flows: Vec::new(),
             queue: QueueKind::default(),
         }
@@ -79,12 +77,6 @@ impl Scenario {
     /// Sets the coding parameters used by DC1.
     pub fn with_coding(mut self, coding: CodingParams) -> Self {
         self.coding = coding;
-        self
-    }
-
-    /// Sets the DC2 (recovery) configuration.
-    pub fn with_dc2(mut self, config: Dc2Config) -> Self {
-        self.dc2_config = config;
         self
     }
 
@@ -134,7 +126,7 @@ impl Scenario {
             Simulator::with_capacity_and_queue(self.seed, self.queue, nodes_hint, events_hint);
         let topo = &self.topology;
         let rtt = topo.rtt();
-        let mut world = Deployment::new(sim, self.coding, self.dc2_config, 1, rtt);
+        let mut world = Deployment::new(sim, self.coding, 1, rtt);
 
         // Links: the shared inter-DC path, then per flow the direct Internet
         // path, the sender access path and the receiver access path.

@@ -16,7 +16,6 @@ use super::{fleet_rng, DcId};
 use crate::coding::params::CodingParams;
 use crate::experiment::deploy::Deployment;
 use crate::experiment::PacketOutcome;
-use crate::nodes::dc2::Dc2Config;
 use crate::nodes::receiver::ReceiverNode;
 use crate::nodes::source::TrafficSource;
 use crate::packet::FlowId;
@@ -103,7 +102,6 @@ pub struct FleetScenario {
     seed: u64,
     queue: QueueKind,
     coding: CodingParams,
-    dc2_config: Dc2Config,
     heartbeat: HeartbeatConfig,
     placement: PlacementStrategy,
     dcs: Vec<FleetDcSpec>,
@@ -122,7 +120,6 @@ impl FleetScenario {
             seed,
             queue: QueueKind::default(),
             coding: CodingParams::default(),
-            dc2_config: Dc2Config::default(),
             heartbeat: HeartbeatConfig::default(),
             placement: PlacementStrategy::RoundRobin,
             dcs: uniform_fleet(3, 8),
@@ -211,7 +208,7 @@ impl FleetScenario {
             Simulator::with_capacity_and_queue(self.seed, self.queue, nodes_hint, events_hint);
         let y = self.internet.nominal_latency();
         let rtt = y * 2;
-        let mut world = Deployment::new(sim, self.coding, self.dc2_config, n_dcs, rtt);
+        let mut world = Deployment::new(sim, self.coding, n_dcs, rtt);
 
         // Register the fleet and place flows administratively at t = 0, on
         // the reserved fleet RNG stream of the scenario seed.

@@ -69,7 +69,6 @@ pub mod prelude {
         FleetAxis, FleetDcSpec, FleetFlowReport, FleetRegistry, FleetReport, FleetScenario,
         FleetStats, FlowRequirements, HeartbeatConfig, PlacementStrategy, RelocationOutcome,
     };
-    pub use crate::nodes::dc2::Dc2Config;
     pub use crate::nodes::receiver::{DeliveryMethod, ReceiverConfig};
     pub use crate::nodes::source::{CbrSource, ScheduleSource, TrafficSource};
     pub use crate::nodes::{FlowSpec, PathPolicy};

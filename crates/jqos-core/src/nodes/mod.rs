@@ -3,8 +3,9 @@
 //! * [`sender::SenderNode`] — the application sender plus the J-QoS sender
 //!   layer (duplication toward the cloud).
 //! * [`dc1::Dc1Node`] — the ingress data center (forwarding + coding plan).
-//! * [`dc2::Dc2Node`] — the egress data center (caching + recovery,
-//!   cooperative recovery orchestration).
+//! * [`dc2::Dc2Node`] — the egress data center: a thin host for DC2's
+//!   recovery state machine (caching, parked NACKs, cooperative recovery),
+//!   which lives in `recovery::dc2`.
 //! * [`receiver::ReceiverNode`] — the application receiver plus the J-QoS
 //!   receiver layer (loss detection, NACKs, cooperative responses).
 

@@ -140,7 +140,7 @@ pub enum NackReason {
 }
 
 /// All messages exchanged between J-QoS entities in the simulator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Application data on the direct Internet path (sender → receiver).
     Data(DataPacket),
