@@ -9,77 +9,74 @@
 //! while class statistics scale analytically.  A 10^5–10^6-user city
 //! therefore resolves in seconds to minutes.
 //!
-//! The run produces `BENCH_sweep_city.json`: per-class SLO attainment,
+//! The run produces `results/city.json`: per-class SLO attainment,
 //! interpolated latency quantiles, arrival volumes and service-mix cost,
 //! plus the sweep's deterministic digests (asserted identical between the
-//! 1-thread and N-thread executions by the usual baseline replay).
+//! 1-thread and N-thread executions by the usual baseline replay).  The
+//! sweep's wall-clocks go to `target/figures/city_timing.json`, apart from
+//! the data.
 
-use crate::harness::{run_suite, section, sized, write_json, Series, SweepTiming};
+use crate::harness::{run_suite, section, Documents, Series};
 use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
 use workloads::population::{class_catalog, run_city, CityConfig};
 
 json_struct! {
-    struct CityClassRow {
-        class: String,
-        service: String,
-        users: u64,
-        arrivals: u64,
-        peak_hour_arrivals: u64,
-        slo_attainment: f64,
-        latency_p50_ms: f64,
-        latency_p99_ms: f64,
-        burst_loss_packets: u64,
-        cost_per_hour: f64,
+    /// One flow class at one grid point (fields: docs/BENCHMARKS.md).
+    pub struct CityClassRow {
+        pub class: String,
+        pub service: String,
+        pub users: u64,
+        pub arrivals: u64,
+        pub peak_hour_arrivals: u64,
+        pub slo_attainment: f64,
+        pub latency_p50_ms: f64,
+        pub latency_p99_ms: f64,
+        pub burst_loss_packets: u64,
+        pub cost_per_hour: f64,
     }
 }
 
 json_struct! {
-    struct CityPointRow {
-        label: String,
-        city: String,
-        population: u64,
-        diurnal_phase_hours: f64,
-        flash_crowd: String,
-        seed: u64,
-        total_arrivals: u64,
-        slo_attainment: f64,
-        cost_per_hour: f64,
-        classes: Vec<CityClassRow>,
+    /// One grid point of the city document (fields: docs/BENCHMARKS.md).
+    pub struct CityPointRow {
+        pub label: String,
+        pub city: String,
+        pub population: u64,
+        pub diurnal_phase_hours: f64,
+        pub flash_crowd: String,
+        pub seed: u64,
+        pub total_arrivals: u64,
+        pub slo_attainment: f64,
+        pub cost_per_hour: f64,
+        pub classes: Vec<CityClassRow>,
         /// FNV-1a digest of the full `CityReport`, hex (JSON numbers travel
         /// as f64, see [`crate::json`]).
-        digest: String,
+        pub digest: String,
     }
 }
 
 json_struct! {
-    struct CitySweepDoc {
-        schema: &'static str,
-        quick_mode: bool,
-        master_seed: String,
-        observed_hours: u32,
-        reps_per_class: usize,
-        sim_duration_ms: u64,
-        class_count: usize,
-        points: Vec<CityPointRow>,
-        timing: SweepTiming,
+    /// The `results/city.json` document.
+    pub struct CitySweepDoc {
+        pub schema: &'static str,
+        pub master_seed: String,
+        pub observed_hours: u32,
+        pub reps_per_class: usize,
+        pub sim_duration_ms: u64,
+        pub class_count: usize,
+        pub points: Vec<CityPointRow>,
     }
 }
 
 /// The city-axis entries of the grid: populations × diurnal phases ×
-/// flash-crowd regimes (phases collapse to one value in quick mode).
+/// flash-crowd regimes.
 fn city_entries() -> Vec<(String, CityAxis)> {
-    let populations: &[u64] = &[100_000, 1_000_000];
-    let phases: &[f64] = if crate::harness::quick_mode() {
-        &[0.0]
-    } else {
-        &[0.0, 8.0]
-    };
     let crowds = [FlashCrowdLevel::None, FlashCrowdLevel::Global];
     let mut entries = Vec::new();
-    for &population in populations {
-        for &phase in phases {
+    for population in [100_000, 1_000_000] {
+        for phase in [0.0, 8.0] {
             for &flash_crowd in &crowds {
                 let axis = CityAxis {
                     population,
@@ -93,29 +90,21 @@ fn city_entries() -> Vec<(String, CityAxis)> {
     entries
 }
 
-/// The per-point engine knobs (full vs quick fidelity).
-fn config_for(axis: CityAxis) -> CityConfig {
-    if crate::harness::quick_mode() {
-        CityConfig::quick(axis)
-    } else {
-        CityConfig::new(axis)
-    }
-}
-
-/// Runs the city suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
+/// Runs the city suite on `threads` sweep workers, and returns its
+/// documents together with the report behind the data.
+pub fn run(threads: usize, baseline: bool) -> (Documents, CitySweepDoc) {
     let master_seed = 29;
-    let seeds = sized(2, 1);
+    let seeds = 2;
     let catalog = class_catalog();
     let class_count = catalog.len();
-    let knobs = config_for(CityAxis::default());
+    let knobs = CityConfig::new(CityAxis::default());
 
     section("City sweep: trace-driven populations with class aggregation");
     let entries = city_entries();
     let grid = SweepGrid::new().replicates(seeds).axis(entries.clone());
 
     let suite = ExperimentSuite::new("city", master_seed, grid, move |point| {
-        let report = run_city(&config_for(point.payload), point.scenario_seed());
+        let report = run_city(&CityConfig::new(point.payload), point.scenario_seed());
         let digest = report.digest();
         let mut stats = PointStats::new("")
             .metric("population", report.axis.population as f64)
@@ -139,7 +128,8 @@ pub fn run(threads: usize, baseline: bool) {
         }
         stats
     });
-    let (out, timing) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     // Point order: city axis outermost, seeds innermost.
     let points = out.report.points();
@@ -203,18 +193,15 @@ pub fn run(threads: usize, baseline: bool) {
         );
     }
 
-    write_json(
-        "BENCH_sweep_city",
-        &CitySweepDoc {
-            schema: "jqos.city_sweep.v1",
-            quick_mode: crate::harness::quick_mode(),
-            master_seed: format!("{master_seed:#x}"),
-            observed_hours: knobs.observed_hours,
-            reps_per_class: knobs.reps_per_class,
-            sim_duration_ms: knobs.sim_duration.as_millis_f64() as u64,
-            class_count,
-            points: rows,
-            timing,
-        },
-    );
+    let doc = CitySweepDoc {
+        schema: "jqos.city_sweep.v2",
+        master_seed: format!("{master_seed:#x}"),
+        observed_hours: knobs.observed_hours,
+        reps_per_class: knobs.reps_per_class,
+        sim_duration_ms: knobs.sim_duration.as_millis_f64() as u64,
+        class_count,
+        points: rows,
+    };
+    docs.data("city", &doc);
+    (docs, doc)
 }

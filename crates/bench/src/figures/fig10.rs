@@ -13,36 +13,38 @@
 //! suite whose point metrics (packets per second) are wall-clock derived and
 //! therefore not byte-reproducible.
 
-use crate::harness::{environment, section, sized, write_json, Environment};
+use crate::harness::{environment, section, Documents, Environment};
 use crate::json::json_struct;
 use jqos_core::coding::engine::{EncodingEngine, EngineConfig};
 use jqos_core::{ExperimentSuite, SweepGrid};
 use netsim::stats::PointStats;
 
 json_struct! {
-    struct ScalingPoint {
-        threads: usize,
-        ingress_kpps: f64,
-        egress_kpps: f64,
-        speedup_vs_one_thread: f64,
+    /// The encoder's rate at one thread count.
+    pub struct ScalingPoint {
+        pub threads: usize,
+        pub ingress_kpps: f64,
+        pub egress_kpps: f64,
+        pub speedup_vs_one_thread: f64,
         /// More threads than the machine has cores: past that point the
         /// speedup measures the machine, not the encoder.
-        oversubscribed: bool,
+        pub oversubscribed: bool,
     }
 }
 
 json_struct! {
     /// The `fig10_encoding_scaling.json` document.  Its data *is* timing, so
     /// it says which machine (and how many cores) drew it.
-    struct ScalingReport {
-        environment: Environment,
-        points: Vec<ScalingPoint>,
+    pub struct ScalingReport {
+        pub environment: Environment,
+        pub points: Vec<ScalingPoint>,
     }
 }
 
-/// Runs the Figure 10 suite, always on one sweep worker (see module docs).
-pub fn run() {
-    let packets_per_thread = sized(400_000, 40_000) as u64;
+/// Runs the Figure 10 suite, always on one sweep worker (see module docs),
+/// and returns its document together with the report behind it.
+pub fn run() -> (Documents, ScalingReport) {
+    let packets_per_thread = 400_000;
     let max_threads = 8usize;
 
     section("Figure 10: encoding throughput vs. encoding threads");
@@ -123,11 +125,11 @@ pub fn run() {
     println!("  -> at 1.5 Mbps / 512 B packets, one thread sustains ~{calls_per_thread:.0} concurrent calls (paper: ~150)");
 
     out.print_timing_summary();
-    write_json(
-        "fig10_encoding_scaling",
-        &ScalingReport {
-            environment: env,
-            points,
-        },
-    );
+    let report = ScalingReport {
+        environment: env,
+        points,
+    };
+    let mut docs = Documents::default();
+    docs.timing("fig10_encoding_scaling".into(), &report);
+    (docs, report)
 }

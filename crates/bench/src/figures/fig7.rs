@@ -15,21 +15,21 @@
 //! quickest demonstration of the multi-core speedup and the deterministic
 //! 1-thread replay.
 
-use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::harness::{run_suite, section, Documents, Series};
 use jqos_core::prelude::*;
 use measurements::dc_history::northern_eu_delta_by_era;
 use measurements::ripe::ripe_atlas_paths;
 use netsim::stats::PointStats;
 
 /// Runs the Figure 7 suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
-    let chunks = sized(32, 8);
-    let chunk_size = sized(6250, 512).div_ceil(chunks);
+pub fn run(threads: usize, baseline: bool) -> Documents {
+    let chunks = 32;
+    let chunk_size = 6250usize.div_ceil(chunks);
     let seed = 42;
 
     let grid = SweepGrid::new().axis((0..chunks).map(|c| (format!("chunk{c}"), c)).collect());
-    let sim_packets = sized(400, 150) as u64;
-    let sim_secs = sized(10, 4) as u64;
+    let sim_packets = 400;
+    let sim_secs = 10;
     let suite = ExperimentSuite::new("fig7", seed, grid, move |point| {
         let paths = ripe_atlas_paths(chunk_size, point.scenario_seed());
         let mut stats = PointStats::new("")
@@ -77,7 +77,8 @@ pub fn run(threads: usize, baseline: bool) {
             .series("sim_caching_frac", flow.recovery_delay_rtt_fractions());
         stats
     });
-    let (out, _) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     section("Figure 7(a): end-to-end delivery latency (ms)");
     let fig7a = vec![
@@ -96,7 +97,7 @@ pub fn run(threads: usize, baseline: bool) {
         .unwrap()
         .1;
     println!("  -> coding p95 = {coding_p95:.1} ms (paper: caching/coding within 150 ms for 95% of paths)");
-    write_json("fig7a_delivery_latency", &fig7a);
+    docs.data("fig7a_delivery_latency", &fig7a);
 
     section("Figure 7(b): recovery delay / RTT");
     let fig7b = vec![
@@ -129,7 +130,7 @@ pub fn run(threads: usize, baseline: bool) {
         sim_rates.len(),
         sim_rates.iter().sum::<f64>() / sim_rates.len().max(1) as f64
     );
-    write_json("fig7b_recovery_fraction", &fig7b);
+    docs.data("fig7b_recovery_fraction", &fig7b);
 
     section("Figure 7(c): end host to DC latency δ (ms), European receivers");
     let deltas = out.report.merged_samples("delta_r_ms");
@@ -142,10 +143,10 @@ pub fn run(threads: usize, baseline: bool) {
         below10 * 100.0,
         above20 * 100.0
     );
-    write_json("fig7c_delta", &fig7c);
+    docs.data("fig7c_delta", &fig7c);
 
     section("Figure 7(d): δ to the nearest DC for northern-EU hosts, by era");
-    let eras = northern_eu_delta_by_era(sized(2000, 300), seed);
+    let eras = northern_eu_delta_by_era(2000, seed);
     let fig7d: Vec<Series> = eras
         .iter()
         .map(|(era, samples)| Series::from_samples(era.label(), samples.clone()))
@@ -153,5 +154,6 @@ pub fn run(threads: usize, baseline: bool) {
     for s in &fig7d {
         s.print_row();
     }
-    write_json("fig7d_delta_by_era", &fig7d);
+    docs.data("fig7d_delta_by_era", &fig7d);
+    docs
 }

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::harness::{run_suite, section, Documents, Series};
 use crate::json::json_struct;
 use jqos_core::coding::fec_whatif::{crwan_cloud_recovery, fec_on_path, percent_increase};
 use jqos_core::nodes::receiver::DeliveryMethod;
@@ -110,11 +110,10 @@ fn run_path(path: &PlanetLabPath, cross_parity: usize, duration: Dur, seed: u64)
 }
 
 /// Runs the Figure 8 suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
+pub fn run(threads: usize, baseline: bool) -> Documents {
     let paths = planetlab_paths(2020);
-    let n_paths = sized(paths.len(), 8);
-    let paths: Vec<PlanetLabPath> = paths.into_iter().take(n_paths).collect();
-    let duration = Dur::from_secs(sized(200, 60) as u64);
+    let n_paths = paths.len();
+    let duration = Dur::from_secs(200);
     let seed = 7;
 
     // Grid: every PlanetLab path (seed axis, one seed per path) crossed with
@@ -164,7 +163,8 @@ pub fn run(threads: usize, baseline: bool) {
                 report.recovery_delay_rtt_fractions(),
             )
     });
-    let (out, _) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     // Re-assemble the per-path rows from the grid: variant `cross2` occupies
     // points `0..n`, `cross1` points `n..2n`, both in path order.
@@ -342,6 +342,7 @@ pub fn run(threads: usize, baseline: bool) {
         over_10 * 100.0
     );
 
-    write_json("fig8_crwan_paths", &results);
-    write_json("fig8e_straggler_improvement", &improvements);
+    docs.data("fig8_crwan_paths", &results);
+    docs.data("fig8e_straggler_improvement", &improvements);
+    docs
 }

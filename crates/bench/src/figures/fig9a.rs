@@ -20,7 +20,7 @@
 //! output is the per-frame PSNR CDF of each configuration plus the bandwidth
 //! comparison (CR-WAN uses a small fraction of forwarding's cloud bytes).
 
-use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::harness::{run_suite, section, Documents, Series};
 use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
@@ -122,8 +122,8 @@ fn run_call(
 }
 
 /// Runs the Figure 9(a) suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
-    let call_secs = sized(180, 70) as u64;
+pub fn run(threads: usize, baseline: bool) -> Documents {
+    let call_secs = 180;
     let seed = 31;
 
     let grid = SweepGrid::new().axis(CONFIGS.iter().map(|c| (c.0, *c)).collect());
@@ -133,7 +133,8 @@ pub fn run(threads: usize, baseline: bool) {
         // realisation, as in the paper's side-by-side comparison.
         run_call(label, service, mobile, call_secs, point.paired_seed())
     });
-    let (out, _) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     section("Figure 9(a): per-frame PSNR during a call with a 30 s outage");
     let series: Vec<Series> = out
@@ -188,6 +189,7 @@ pub fn run(threads: usize, baseline: bool) {
         );
     }
 
-    write_json("fig9a_skype_psnr", &results);
-    write_json("fig9a_skype_psnr_cdf", &series);
+    docs.data("fig9a_skype_psnr", &results);
+    docs.data("fig9a_skype_psnr_cdf", &series);
+    docs
 }

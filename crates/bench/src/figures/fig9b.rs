@@ -11,7 +11,7 @@
 //! model sends several times fewer NACKs on a TCP-like bursty arrival
 //! pattern.
 
-use crate::harness::{run_suite, section, sized, write_json, Series};
+use crate::harness::{run_suite, section, Documents, Series};
 use crate::json::json_struct;
 use jqos_core::packet::NackReason;
 use jqos_core::prelude::*;
@@ -119,8 +119,8 @@ fn count_detector_timeouts(config: DetectorConfig) -> u64 {
 }
 
 /// Runs the Figure 9(b) suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
-    let transfers = sized(10_000, 300);
+pub fn run(threads: usize, baseline: bool) -> Documents {
+    let transfers = 10_000;
     let seed = 99;
 
     section("Figure 9(b): flow completion times (seconds)");
@@ -150,7 +150,8 @@ pub fn run(threads: usize, baseline: bool) {
             point.paired_seed(),
         )
     });
-    let (out, _) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     let points = out.report.points();
     let base_tail = points[0].get_metric("p99_s").unwrap_or(0.0);
@@ -205,8 +206,8 @@ pub fn run(threads: usize, baseline: bool) {
     for s in &series {
         s.print_row();
     }
-    write_json("fig9b_tcp_fct", &rows);
-    write_json("fig9b_tcp_fct_cdf", &series);
+    docs.data("fig9b_tcp_fct", &rows);
+    docs.data("fig9b_tcp_fct_cdf", &series);
 
     section("§6.4 ablation: two-state Markov timeout vs a single fixed timeout");
     let rtt = Dur::from_millis(200);
@@ -216,7 +217,7 @@ pub fn run(threads: usize, baseline: bool) {
     println!("  two-state Markov model timeouts : {two_state}");
     println!("  single 25 ms timeout timeouts   : {single}");
     println!("  -> reduction factor: {ratio:.1}x (paper: ~5x fewer NACKs)");
-    write_json(
+    docs.data(
         "sec64_nack_ablation",
         &NackAblation {
             two_state,
@@ -224,4 +225,5 @@ pub fn run(threads: usize, baseline: bool) {
             reduction_factor: ratio,
         },
     );
+    docs
 }

@@ -8,13 +8,14 @@
 //! scheduled crash forcing a `Registered → Suspect → Evicted` walk followed by
 //! relocation of the orphaned flows onto the survivors.
 //!
-//! The run produces `BENCH_sweep_fleet.json`: per-point relocation latencies,
+//! The run produces `results/fleet.json`: per-point relocation latencies,
 //! flows dropped vs relocated (with reason codes), per-strategy service-mix
 //! cost, residual delivery rates, and the sweep's deterministic digests
 //! (asserted identical between the 1-thread and N-thread executions by the
-//! usual baseline replay).
+//! usual baseline replay).  The sweep's wall-clocks go to
+//! `target/figures/fleet_timing.json`, apart from the data.
 
-use crate::harness::{run_suite, section, sized, write_json, Series, SweepTiming};
+use crate::harness::{run_suite, section, Documents, Series};
 use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
@@ -34,60 +35,62 @@ const FLOW_MIX: [(ServiceKind, u64); 3] = [
 ];
 
 json_struct! {
-    struct FleetPointRow {
-        label: String,
-        fleet_size: usize,
-        placement: String,
-        seed: u64,
-        flows: usize,
-        flows_placed: usize,
-        evictions: usize,
-        flows_relocated: usize,
-        flows_dropped_fleet_empty: usize,
-        flows_dropped_no_capacity: usize,
-        relocation_latencies_ms: Vec<f64>,
-        sent: usize,
-        delivered: usize,
-        recovered: usize,
-        delivery_rate: f64,
-        service_mix_cost: f64,
+    /// One grid point of the fleet document (fields: docs/BENCHMARKS.md).
+    pub struct FleetPointRow {
+        pub label: String,
+        pub fleet_size: usize,
+        pub placement: String,
+        pub seed: u64,
+        pub flows: usize,
+        pub flows_placed: usize,
+        pub evictions: usize,
+        pub flows_relocated: usize,
+        pub flows_dropped_fleet_empty: usize,
+        pub flows_dropped_no_capacity: usize,
+        pub relocation_latencies_ms: Vec<f64>,
+        pub sent: usize,
+        pub delivered: usize,
+        pub recovered: usize,
+        pub delivery_rate: f64,
+        pub service_mix_cost: f64,
         /// FNV-1a digest of the full [`FleetReport`], hex (JSON numbers
         /// travel as f64, see [`crate::json`]).
-        digest: String,
+        pub digest: String,
     }
 }
 
 json_struct! {
-    struct StrategySummary {
-        placement: String,
-        points: usize,
-        flows_relocated: usize,
-        flows_dropped: usize,
-        relocation_latency_ms_mean: f64,
-        service_mix_cost_mean: f64,
-        delivery_rate_mean: f64,
+    /// One placement strategy's aggregates across fleet sizes and seeds.
+    pub struct StrategySummary {
+        pub placement: String,
+        pub points: usize,
+        pub flows_relocated: usize,
+        pub flows_dropped: usize,
+        pub relocation_latency_ms_mean: f64,
+        pub service_mix_cost_mean: f64,
+        pub delivery_rate_mean: f64,
     }
 }
 
 json_struct! {
-    struct FailureInfo {
-        dc: u32,
-        at_ms: u64,
+    /// The crash every point schedules.
+    pub struct FailureInfo {
+        pub dc: u32,
+        pub at_ms: u64,
     }
 }
 
 json_struct! {
-    struct FleetSweepDoc {
-        schema: &'static str,
-        quick_mode: bool,
-        master_seed: String,
-        duration_ms: u64,
-        alpha: f64,
-        flows_per_point: usize,
-        failure: FailureInfo,
-        strategies: Vec<StrategySummary>,
-        points: Vec<FleetPointRow>,
-        timing: SweepTiming,
+    /// The `results/fleet.json` document.
+    pub struct FleetSweepDoc {
+        pub schema: &'static str,
+        pub master_seed: String,
+        pub duration_ms: u64,
+        pub alpha: f64,
+        pub flows_per_point: usize,
+        pub failure: FailureInfo,
+        pub strategies: Vec<StrategySummary>,
+        pub points: Vec<FleetPointRow>,
     }
 }
 
@@ -115,13 +118,14 @@ fn fleet_entries(failure_at: Time) -> Vec<(String, FleetAxis)> {
     entries
 }
 
-/// Runs the fleet suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
+/// Runs the fleet suite on `threads` sweep workers, and returns its
+/// documents together with the report behind the data.
+pub fn run(threads: usize, baseline: bool) -> (Documents, FleetSweepDoc) {
     let master_seed = 23;
-    let seeds = sized(3, 2);
+    let seeds = 3;
     let n_flows = 6;
-    let packets = sized(240, 120) as u64;
-    let duration = Dur::from_secs(sized(8, 6) as u64);
+    let packets = 240;
+    let duration = Dur::from_secs(8);
     let failure_at = Time::from_secs(3);
 
     section("Fleet sweep: registration, heartbeats, failover");
@@ -185,7 +189,8 @@ pub fn run(threads: usize, baseline: bool) {
                     .collect(),
             )
     });
-    let (out, timing) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     // Point order: fleet axis outermost (one loss entry), seeds innermost.
     let points = out.report.points();
@@ -272,22 +277,19 @@ pub fn run(threads: usize, baseline: bool) {
         total_dropped
     );
 
-    write_json(
-        "BENCH_sweep_fleet",
-        &FleetSweepDoc {
-            schema: "jqos.fleet_sweep.v1",
-            quick_mode: crate::harness::quick_mode(),
-            master_seed: format!("{master_seed:#x}"),
-            duration_ms: duration.as_millis_f64() as u64,
-            alpha: ALPHA,
-            flows_per_point: n_flows,
-            failure: FailureInfo {
-                dc: FAILED_DC.0,
-                at_ms: failure_at.0 / 1_000,
-            },
-            strategies,
-            points: rows,
-            timing,
+    let doc = FleetSweepDoc {
+        schema: "jqos.fleet_sweep.v2",
+        master_seed: format!("{master_seed:#x}"),
+        duration_ms: duration.as_millis_f64() as u64,
+        alpha: ALPHA,
+        flows_per_point: n_flows,
+        failure: FailureInfo {
+            dc: FAILED_DC.0,
+            at_ms: failure_at.0 / 1_000,
         },
-    );
+        strategies,
+        points: rows,
+    };
+    docs.data("fleet", &doc);
+    (docs, doc)
 }

@@ -12,7 +12,7 @@
 //! The bandwidth and battery parts are closed-form; the third question runs
 //! the video workload over both LTE profiles as a two-point sweep grid.
 
-use crate::harness::{run_suite, section, sized, write_json};
+use crate::harness::{run_suite, section, Documents};
 use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
@@ -33,7 +33,7 @@ json_struct! {
 }
 
 /// Runs the §6.5 suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
+pub fn run(threads: usize, baseline: bool) -> Documents {
     section("§6.5: duplication bandwidth feasibility");
     let profiles = [
         ("typical LTE (5 Mbps up)", MobileProfile::lte_typical()),
@@ -64,7 +64,7 @@ pub fn run(threads: usize, baseline: bool) {
     );
 
     section("§6.5: recovery over cellular latencies");
-    let call_secs = sized(120, 50) as u64;
+    let call_secs = 120;
     let duration = Dur::from_secs(call_secs);
 
     let grid = SweepGrid::new().axis(vec![
@@ -102,7 +102,8 @@ pub fn run(threads: usize, baseline: bool) {
             .metric("recovery_rate", flow.recovery_rate())
             .metric("recovery_p95_ms", delays.quantile(0.95).unwrap_or(0.0))
     });
-    let (out, _) = run_suite(&suite, threads, baseline);
+    let mut docs = Documents::default();
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     for (i, (label, _)) in profiles.iter().enumerate() {
         let p = &out.report.points()[i];
@@ -132,5 +133,6 @@ pub fn run(threads: usize, baseline: bool) {
         recovery_rate: typical.get_metric("recovery_rate").unwrap_or(0.0),
         recovery_p95_ms: typical.get_metric("recovery_p95_ms").unwrap_or(0.0),
     };
-    write_json("sec65_mobile", &report);
+    docs.data("sec65_mobile", &report);
+    docs
 }

@@ -10,7 +10,7 @@
 //!    92 % of lost packets — swept over three replicate seeds on the worker
 //!    threads so the reported overhead is not a single-realisation artefact.
 
-use crate::harness::{run_suite, section, sized, write_json};
+use crate::harness::{run_suite, section, Documents};
 use crate::json::json_struct;
 use jqos_core::prelude::*;
 use netsim::stats::PointStats;
@@ -35,7 +35,7 @@ json_struct! {
 }
 
 /// Runs the §6.6 suite on `threads` sweep workers.
-pub fn run(threads: usize, baseline: bool) {
+pub fn run(threads: usize, baseline: bool) -> Documents {
     section("§6.6: hourly cost of serving 150 concurrent Skype calls");
     let model = CostModel::default();
     let workload = WorkloadProfile::skype_calls(150);
@@ -68,12 +68,13 @@ pub fn run(threads: usize, baseline: bool) {
     }
     let ratio = model.forwarding_to_coding_ratio(workload, coding_rate);
     println!("  -> forwarding / coding bandwidth cost ratio: {ratio:.1}x (paper: 16x)");
-    write_json("sec66_cost_table", &rows);
+    let mut docs = Documents::default();
+    docs.data("sec66_cost_table", &rows);
 
     section("§6.6: coding overhead with 20 concurrent streams (r = 2/20)");
-    let duration = Dur::from_secs(sized(120, 40) as u64);
+    let duration = Dur::from_secs(120);
     let streams = 20usize;
-    let replicates = sized(3, 2);
+    let replicates = 3;
     let coding = CodingParams::emulab_20_streams();
 
     let grid = SweepGrid::new().replicates(replicates);
@@ -106,7 +107,7 @@ pub fn run(threads: usize, baseline: bool) {
             .metric("recovered", recovered as f64)
             .metric("coded_byte_overhead", report.coding_overhead())
     });
-    let (out, _) = run_suite(&suite, threads, baseline);
+    let out = run_suite(&suite, threads, baseline, &mut docs);
 
     let lost: f64 = out.report.metric_series("lost").iter().sum();
     let recovered: f64 = out.report.metric_series("recovered").iter().sum();
@@ -121,7 +122,7 @@ pub fn run(threads: usize, baseline: bool) {
         "  coded-byte overhead on the inter-DC path: {:.1}% (paper: ~10% for >92% recovery)",
         overhead * 100.0
     );
-    write_json(
+    docs.data(
         "sec66_overhead",
         &OverheadResult {
             streams,
@@ -131,4 +132,5 @@ pub fn run(threads: usize, baseline: bool) {
             coded_byte_overhead: overhead,
         },
     );
+    docs
 }

@@ -1,53 +1,72 @@
 //! Shared utilities for the figure suites.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use jqos_core::{ExperimentSuite, SuiteReport, SweepPoint};
 use netsim::stats::{Cdf, PointStats};
 
 use crate::json::{json_struct, pretty, ToJson};
 
-/// Where figure data files are written.
+/// Where wall-clock-derived documents are written: `$JQOS_FIGURES_DIR` if
+/// set, else `target/figures/` relative to the working directory.
 pub fn figures_dir() -> PathBuf {
-    let dir = PathBuf::from(
-        std::env::var("JQOS_FIGURES_DIR").unwrap_or_else(|_| "target/figures".into()),
-    );
-    fs::create_dir_all(&dir).expect("create figures dir");
-    dir
+    PathBuf::from(std::env::var("JQOS_FIGURES_DIR").unwrap_or_else(|_| "target/figures".into()))
 }
 
-/// Scale factor for experiment sizes: `JQOS_QUICK=1` shrinks the workloads so
-/// the whole suite finishes in well under a minute (used by CI and the
-/// integration tests); unset runs the full-size experiments.
-pub fn quick_mode() -> bool {
-    std::env::var("JQOS_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
+/// Where the deterministic figure documents are committed: `results/` at the
+/// root of the workspace this crate was built in.
+pub fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join("results")
 }
 
-/// Picks `full` normally and `quick` under `JQOS_QUICK=1`.
-pub fn sized(full: usize, quick: usize) -> usize {
-    if quick_mode() {
-        quick
-    } else {
-        full
+/// The documents one figure run produced, each as `(name, JSON text)`.
+#[derive(Debug, Default)]
+pub struct Documents {
+    /// Deterministic data, a function of the code and the seeds only: bound
+    /// for [`results_dir`], where it is committed.
+    pub data: Vec<(&'static str, String)>,
+    /// Documents whose data is wall-clock time, bound for [`figures_dir`].
+    pub timing: Vec<(String, String)>,
+}
+
+impl Documents {
+    /// Adds a deterministic document.
+    pub fn data<T: ToJson>(&mut self, name: &'static str, value: &T) {
+        self.data.push((name, pretty(value) + "\n"));
     }
-}
 
-/// Writes a JSON document describing one figure's data series under
-/// [`figures_dir`].
-pub fn write_json<T: ToJson>(name: &str, value: &T) {
-    let path = figures_dir().join(format!("{name}.json"));
-    fs::write(&path, pretty(value)).expect("write figure data");
-    println!("  [data written to {}]", path.display());
+    /// Adds a wall-clock-derived document.
+    pub fn timing<T: ToJson>(&mut self, name: String, value: &T) {
+        self.timing.push((name, pretty(value) + "\n"));
+    }
+
+    /// Writes every document as `<name>.json`: data under [`results_dir`],
+    /// timing under [`figures_dir`].
+    pub fn write(&self) {
+        let data = self.data.iter().map(|(n, t)| (results_dir(), *n, t));
+        let timing = self
+            .timing
+            .iter()
+            .map(|(n, t)| (figures_dir(), n.as_str(), t));
+        for (dir, name, text) in data.chain(timing) {
+            fs::create_dir_all(&dir).expect("create the output directory");
+            let path = dir.join(format!("{name}.json"));
+            fs::write(&path, text).expect("write figure document");
+            println!("  [written to {}]", path.display());
+        }
+    }
 }
 
 json_struct! {
     /// The machine and build that produced a document, so a wall-clock in it
     /// can be read.  Same field names as the benchmark's environment stamp
-    /// (`benchmark/src/procfs.rs`), plus `quick_mode`; a field that cannot
-    /// be read says `unknown`.
+    /// (`benchmark/src/procfs.rs`); a field that cannot be read says
+    /// `unknown`.
     pub struct Environment {
         /// Cores available to this process.
         pub nproc: usize,
@@ -61,8 +80,6 @@ json_struct! {
         pub rustc: String,
         /// Short hash of the checked-out commit.
         pub git_rev: String,
-        /// Whether `JQOS_QUICK` shrank the run.
-        pub quick_mode: bool,
     }
 }
 
@@ -119,7 +136,6 @@ pub fn environment() -> Environment {
             .map_or_else(|_| unknown(), |s| s.trim().to_string()),
         rustc: command_line("rustc", &["-V"]).unwrap_or_else(unknown),
         git_rev: command_line("git", &["rev-parse", "--short", "HEAD"]).unwrap_or_else(unknown),
-        quick_mode: quick_mode(),
     }
 }
 
@@ -244,13 +260,13 @@ fn sweep_timing(out: &SuiteReport) -> SweepTiming {
 /// With `baseline` set and more than one worker in use, the sweep is
 /// replayed on a single thread and the two reports are asserted
 /// byte-identical — the deterministic-replay guarantee.  The timing
-/// summary (baseline fields included) is returned too, for suites that
-/// embed it in their figure document; no timing-only file is written.
+/// summary (baseline fields included) joins `docs` as `<suite>_timing`.
 pub fn run_suite<P, R>(
     suite: &ExperimentSuite<P, R>,
     threads: usize,
     baseline: bool,
-) -> (SuiteReport, SweepTiming)
+    docs: &mut Documents,
+) -> SuiteReport
 where
     P: Clone + Sync,
     R: Fn(&SweepPoint<P>) -> PointStats + Sync,
@@ -281,7 +297,8 @@ where
             out.threads
         );
     }
-    (out, timing)
+    docs.timing(format!("{}_timing", suite.name()), &timing);
+    out
 }
 
 #[cfg(test)]
@@ -295,14 +312,6 @@ mod tests {
         assert!((s.mean - 50.5).abs() < 1e-9);
         assert_eq!(s.percentiles.len(), 7);
         assert!(!s.cdf.is_empty());
-    }
-
-    #[test]
-    fn sized_respects_quick_mode_env() {
-        // Whatever the ambient environment, the helper must return one of the
-        // two configured values.
-        let v = sized(1000, 10);
-        assert!(v == 1000 || v == 10);
     }
 
     #[test]

@@ -15,17 +15,20 @@
 //! | `fleet`  | DC-fleet failover under the control plane                           |
 //! | `city`   | City-scale populations by flow class                                |
 //!
-//! Every suite prints the series it produces and also dumps them as JSON
-//! ([`json`]) under `target/figures/` — and nowhere else.  Speed numbers
-//! (relay cost and latency, simulator events/s, encoder rate) are the
-//! business of the standalone benchmark in `benchmark/`, not of this crate.
+//! Every suite runs at the paper's size, prints the series it produces and
+//! returns them as JSON documents ([`json`], [`harness::Documents`]): the
+//! deterministic data is written to `results/` at the workspace root, where
+//! it is committed and checked byte for byte by `tests/figures.rs`, and the
+//! wall-clocks to `target/figures/`.  Speed numbers (relay cost and latency,
+//! simulator events/s, encoder rate) are the business of the standalone
+//! benchmark in `benchmark/`, not of this crate.
 //!
 //! Each figure is defined as an [`jqos_core::ExperimentSuite`] in
 //! [`figures`]: a declarative grid of scenario points executed across worker
 //! threads with deterministic per-point seeding, so an `N`-thread sweep is
 //! byte-identical to a 1-thread replay.  Per-sweep wall-clock timing is
-//! printed, and embedded — with the machine that took it — in the `fleet`
-//! and `city` documents.  [`stress`] is not a figure: it is the
+//! printed, and written with the machine that took it to
+//! `target/figures/<suite>_timing.json`.  [`stress`] is not a figure: it is the
 //! large-topology scenario the end-to-end tests replay across scheduler
 //! backends and thread counts against golden digests.
 

@@ -58,7 +58,7 @@ impl StressConfig {
         }
     }
 
-    /// A CI-sized shape that keeps the same topology but finishes in well
+    /// A CI-scale shape that keeps the same topology but finishes in well
     /// under a second.
     pub fn quick() -> Self {
         StressConfig {

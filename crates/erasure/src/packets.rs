@@ -289,7 +289,7 @@ mod tests {
         let packets: Vec<Vec<u8>> = vec![
             b"short".to_vec(),
             vec![7u8; 900],
-            b"medium sized packet".to_vec(),
+            b"medium-length packet".to_vec(),
             vec![3u8; 300],
         ];
         let refs: Vec<&[u8]> = packets.iter().map(|p| p.as_slice()).collect();

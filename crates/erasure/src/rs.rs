@@ -154,7 +154,7 @@ impl ReedSolomon {
         Ok(len)
     }
 
-    /// Encodes `k` equally sized data shards into `m` parity shards.
+    /// Encodes `k` equal-length data shards into `m` parity shards.
     ///
     /// Allocates the parity vectors; the allocation-free slab variant is
     /// [`ReedSolomon::encode_into`].
@@ -677,7 +677,7 @@ mod tests {
             picks in proptest::collection::vec(any::<u64>(), 0..8),
         ) {
             let rs = ReedSolomon::new(k, r).unwrap();
-            // Shape the arbitrary payload into k equally sized shards.
+            // Shape the arbitrary payload into k equal-length shards.
             let data: Vec<Vec<u8>> = (0..k)
                 .map(|i| (0..len).map(|j| payload[(i * len + j) % payload.len()]).collect())
                 .collect();

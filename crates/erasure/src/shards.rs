@@ -23,7 +23,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 /// One codeword's worth of shard storage: `data_shards + parity_shards`
-/// equally sized shards packed into a single shared slab.
+/// equal-length shards packed into a single shared slab.
 ///
 /// Build one directly with [`ShardSet::new`] or recycle storage through a
 /// [`ShardArena`].  Fill the data region ([`ShardSet::data_mut`] /

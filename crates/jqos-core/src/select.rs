@@ -142,8 +142,13 @@ impl PathDelays {
 pub struct Registration {
     /// Maximum tolerable one-way delivery latency.
     pub latency_budget: Dur,
-    /// Whether the application tolerates occasional unrecovered losses (if
-    /// not, the selector never returns `InternetOnly`).
+    /// Whether the application tolerates occasional unrecovered losses.
+    ///
+    /// The selector does not read it: [`ServiceSelector::select`] and
+    /// [`ServiceSelector::maybe_upgrade`] answer the same either way.  The
+    /// field is carried on the wire (the relay's `Register` message) and in
+    /// the benchmark's registrations; ROADMAP item 7, the claims ledger, is
+    /// where a paper claim about loss-tolerant flows would go.
     pub loss_tolerant: bool,
 }
 
@@ -180,12 +185,13 @@ impl ServiceSelector {
         self.delays = delays;
     }
 
-    /// Selects the cheapest service that fits the latency budget.
+    /// Selects the cheapest cloud service that fits the latency budget.
     ///
-    /// Falls back to [`ServiceKind::Forwarding`] if nothing fits (the best
-    /// J-QoS can do), or to [`ServiceKind::InternetOnly`] when the budget is
-    /// generous and the application is loss tolerant enough to not need cloud
-    /// help at all — judicious use means *not* paying for the cloud then.
+    /// Walks [`ServiceKind::CLOUD_SERVICES_BY_COST`] and returns the first
+    /// service whose estimated delivery latency fits; if none does, falls
+    /// back to [`ServiceKind::Forwarding`], the best J-QoS can do.  It never
+    /// returns [`ServiceKind::InternetOnly`], and it ignores
+    /// [`Registration::loss_tolerant`].
     pub fn select(&self, reg: Registration) -> Selection {
         // If even the plain Internet path misses the budget, the only option
         // that can help latency is full forwarding.
@@ -240,6 +246,7 @@ impl ServiceSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn wide_area() -> PathDelays {
         // 75 ms direct path, 10 ms access, 70 ms inter-DC: the §6.1 scenario.
@@ -349,5 +356,82 @@ mod tests {
     fn display_names() {
         assert_eq!(ServiceKind::Coding.to_string(), "coding");
         assert_eq!(ServiceKind::Forwarding.to_string(), "forwarding");
+    }
+
+    /// Position in the cost order; `InternetOnly` is not in it.
+    fn rank(service: ServiceKind) -> usize {
+        ServiceKind::CLOUD_SERVICES_BY_COST
+            .iter()
+            .position(|s| *s == service)
+            .expect("select only returns cloud services")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The selector's relations over random path delays and two budgets
+        /// `b1 <= b2`.
+        #[test]
+        fn selection_relations_hold_for_any_delays(
+            y in 0u64..400,
+            delta_s in 0u64..150,
+            x in 0u64..400,
+            delta_r in 0u64..150,
+            delta_median in 0u64..150,
+            b1 in 0u64..1_200,
+            slack in 0u64..600,
+            observed in 0u64..2_000,
+            current in 0usize..4,
+        ) {
+            let ms = Dur::from_millis;
+            let delays = PathDelays {
+                y: ms(y),
+                delta_s: ms(delta_s),
+                x: ms(x),
+                delta_r: ms(delta_r),
+                delta_median: ms(delta_median),
+            };
+            let sel = ServiceSelector::new(delays);
+            let reg = |budget: u64, loss_tolerant: bool| Registration {
+                latency_budget: ms(budget),
+                loss_tolerant,
+            };
+            let (b2, latency) = (b1 + slack, |s| delays.delivery_latency(s));
+
+            // 1. A larger budget never picks a more expensive service.  It
+            // admits every service the smaller one admits, and `select`
+            // returns the first admitted service in cost order, or the last
+            // one, forwarding, when none is admitted.  Stronger still, coding
+            // >= caching >= forwarding in `delivery_latency` for all delays:
+            // caching's wait `max(0, δ_s + x - y - δ_r)` lifts `y + 2δ_r` to
+            // at least forwarding's `δ_s + x + δ_r`, and coding adds `2δ_median`
+            // to caching.  So the admitted services are a tail of the cost
+            // order, and a growing budget only lengthens it.
+            prop_assert!(latency(ServiceKind::Coding) >= latency(ServiceKind::Caching));
+            prop_assert!(latency(ServiceKind::Caching) >= latency(ServiceKind::Forwarding));
+            let (at_b1, at_b2) = (sel.select(reg(b1, false)), sel.select(reg(b2, false)));
+            prop_assert!(rank(at_b2.service) <= rank(at_b1.service));
+
+            // 2. An upgrade is strictly more expensive than `current`: it
+            // scans only the services after `current` in cost order, and
+            // falls back to forwarding only when `current` is not forwarding
+            // already.  (`InternetOnly` is not in the cost order; it is
+            // scanned from the position of coding, so its upgrade skips
+            // coding, and the relation holds all the same.)
+            let current = [
+                ServiceKind::InternetOnly,
+                ServiceKind::Coding,
+                ServiceKind::Caching,
+                ServiceKind::Forwarding,
+            ][current];
+            let upgrade = sel.maybe_upgrade(current, ms(observed), reg(b1, false));
+            if let Some(up) = upgrade {
+                prop_assert!(up.service.relative_cost(0.1) > current.relative_cost(0.1));
+            }
+
+            // 3. Loss tolerance changes nothing: neither method reads it.
+            prop_assert_eq!(sel.select(reg(b1, true)), at_b1);
+            prop_assert_eq!(sel.maybe_upgrade(current, ms(observed), reg(b1, true)), upgrade);
+        }
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! Both backends support pre-sizing ([`EventQueue::with_capacity`]) and
 //! recycling ([`EventQueue::recycle`]) so per-sweep-point simulators start
-//! from already-sized allocations.
+//! from already-grown allocations.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -325,7 +325,7 @@ enum Backend<M> {
 /// monotonically increasing sequence number as tie-breaker.
 ///
 /// Sequence numbers are assigned by the queue itself so callers cannot break
-/// the deterministic total order, and the backing storage can be pre-sized
+/// the deterministic total order, and the backing storage can be reserved up front
 /// ([`EventQueue::with_capacity`]) so per-sweep-point simulators start with a
 /// single allocation instead of growing through the doubling schedule.
 ///
@@ -431,7 +431,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Drops all pending events but keeps the allocations, so a recycled
-    /// simulator re-starts from already-sized storage.  Sequence numbering
+    /// simulator re-starts from already-grown storage.  Sequence numbering
     /// restarts from zero.
     pub fn recycle(&mut self) {
         match &mut self.backend {

@@ -143,7 +143,7 @@ impl<M> NodeSlab<M> {
         NodeSlab { slots: Vec::new() }
     }
 
-    /// An empty slab pre-sized for `capacity` nodes.
+    /// An empty slab with room reserved for `capacity` nodes.
     pub fn with_capacity(capacity: usize) -> Self {
         NodeSlab {
             slots: Vec::with_capacity(capacity),

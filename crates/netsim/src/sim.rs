@@ -260,7 +260,7 @@ impl<M: Clone + 'static> Simulator<M> {
         Simulator::with_capacity_and_queue(master_seed, kind, 0, 0)
     }
 
-    /// Creates an empty simulator with pre-sized node and event-queue
+    /// Creates an empty simulator with pre-reserved node and event-queue
     /// allocations, so sweep harnesses that build one simulator per grid
     /// point pay a single up-front allocation instead of growing through the
     /// doubling schedule.  Hints of zero behave like [`Simulator::new`].

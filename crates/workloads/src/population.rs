@@ -262,18 +262,6 @@ impl CityConfig {
             sim_duration: Dur::from_secs(6),
         }
     }
-
-    /// Smaller knobs for smoke runs: a 6 h window, 2 reps, 3 s sims.  The
-    /// population itself is *not* reduced — scaling is analytic, so a
-    /// million users cost the same as a hundred.
-    pub fn quick(axis: CityAxis) -> Self {
-        CityConfig {
-            axis,
-            observed_hours: 6,
-            reps_per_class: 2,
-            sim_duration: Dur::from_secs(3),
-        }
-    }
 }
 
 /// Aggregated results for one flow class.
@@ -640,10 +628,10 @@ mod tests {
 
     fn tiny_config() -> CityConfig {
         CityConfig {
+            axis: CityAxis::default(),
             observed_hours: 3,
             reps_per_class: 1,
             sim_duration: Dur::from_millis(1_500),
-            ..CityConfig::quick(CityAxis::default())
         }
     }
 

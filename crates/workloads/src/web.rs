@@ -36,7 +36,7 @@ impl WebTransferSpec {
         self.response_bytes.div_ceil(self.mss)
     }
 
-    /// Sizes of the individual response segments (all MSS-sized except the
+    /// Sizes of the individual response segments (one MSS each except the
     /// last).
     pub fn segment_sizes(&self) -> Vec<usize> {
         let full = self.response_bytes / self.mss;

@@ -6,7 +6,8 @@
 //!   machine's available parallelism), printing per-point and aggregate
 //!   wall-clock, the FNV-1a of the deterministic report, and (unless
 //!   `--no-baseline`) a 1-thread replay whose report is asserted
-//!   byte-identical to the parallel run.
+//!   byte-identical to the parallel run.  The figure's data goes to
+//!   `results/`, where it is committed, and its timing to `target/figures/`.
 
 use std::process::ExitCode;
 
@@ -28,9 +29,11 @@ fn print_help() {
     println!();
     println!("Figure regeneration (cargo run --release -- sweep --fig <id>):");
     println!(
-        "  jqos sweep --fig {}   (JQOS_QUICK=1 for a fast pass)",
+        "  jqos sweep --fig {}",
         jqos_bench::figures::FIGURE_IDS.join(" | ")
     );
+    println!("  data goes to results/ (committed; `git diff results/` shows what moved),");
+    println!("  timing to target/figures/");
     println!();
     println!("Speed numbers come from the benchmark, not from figure wall-clocks:");
     println!("  see benchmark/README.md");

@@ -86,37 +86,6 @@ fn forwarding_masks_an_outage_end_to_end() {
         .any(|p| p.method == Some(DeliveryMethod::CloudForwarded)));
 }
 
-/// Service selection picks the cheapest service that meets the latency
-/// budget, across the whole RIPE-Atlas-style path set.
-#[test]
-fn service_selection_is_monotone_in_the_budget() {
-    for path in measurements::ripe::ripe_atlas_paths(50, 5) {
-        let delays = PathDelays {
-            y: Dur::from_millis_f64(path.y_ms),
-            delta_s: Dur::from_millis_f64(path.delta_s_ms),
-            x: Dur::from_millis_f64(path.x_ms),
-            delta_r: Dur::from_millis_f64(path.delta_r_ms),
-            delta_median: Dur::from_millis_f64(path.delta_median_ms),
-        };
-        let selector = ServiceSelector::new(delays);
-        let mut previous_cost = f64::INFINITY;
-        // As the budget grows the selected service can only get cheaper.
-        for budget_ms in [40u64, 80, 120, 200, 400] {
-            let selection = selector.select(Registration {
-                latency_budget: Dur::from_millis(budget_ms),
-                loss_tolerant: false,
-            });
-            let cost = selection.service.relative_cost(0.33);
-            assert!(
-                cost <= previous_cost + 1e-12,
-                "budget {budget_ms} ms picked a more expensive service ({})",
-                selection.service
-            );
-            previous_cost = cost;
-        }
-    }
-}
-
 /// The ON/OFF CBR workload and the scenario harness together produce
 /// reproducible reports for a fixed seed.
 #[test]
